@@ -31,14 +31,12 @@ def _fixture_docs(sf_dir: str, seed: int = 42):
 
 
 def entry() -> Any:
-    """Flagship: read interleaved docs → OCR media spans via actor pool →
+    """Flagship: read interleaved docs → OCR media spans via task pool →
     groupby-reassemble span sequences.  Returns the output Dataset."""
     from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
 
     ds, n = _fixture_docs("/root/testdata/sf0.001")
-    out = ocr_documents(
-        ds, mode="exploded", concurrency=(1, 4), batch_size=16, num_blocks=8
-    )
+    out = ocr_documents(ds, concurrency=None, batch_size=16, num_blocks=8)
     return out
 
 
@@ -53,20 +51,7 @@ def _ocr_exploded(sf_dir: str):
     )
 
     ds, _ = _fixture_docs(sf_dir)
-    out = ocr_documents(
-        ds, mode="exploded", concurrency=(1, 8), batch_size=16, num_blocks=8
-    )
-    return out.map_batches(explode_documents, batch_format="pyarrow")
-
-
-def _ocr_fused(sf_dir: str):
-    from tensorflow_ocr_ray.pipelines.ocr_pipeline import (
-        explode_documents,
-        ocr_documents,
-    )
-
-    ds, _ = _fixture_docs(sf_dir)
-    out = ocr_documents(ds, mode="fused", concurrency=(1, 8), batch_size=8)
+    out = ocr_documents(ds, concurrency=None, batch_size=16, num_blocks=8)
     return out.map_batches(explode_documents, batch_format="pyarrow")
 
 
@@ -86,7 +71,7 @@ def _extract_interleaved(sf_dir: str):
     )
     ds = rd.from_arrow(generate_web_documents(n, seed=42))
     out = extract_documents(
-        ds, concurrency=(1, 8), batch_size=16, num_blocks=8
+        ds, concurrency=None, batch_size=16, num_blocks=8
     )
     return out.map_batches(explode_documents, batch_format="pyarrow")
 
@@ -132,7 +117,7 @@ def _ocr_flood(sf_dir: str):
 
     ds, _ = _fixture_docs(sf_dir)
     out = ocr_documents(
-        ds, mode="fused", concurrency=(1, 8), batch_size=8,
+        ds, concurrency=None, batch_size=8,
         cfg=FIXTURE_CONFIG.with_(use_flood=True),
     )
     return out.map_batches(explode_documents, batch_format="pyarrow")
@@ -147,7 +132,7 @@ def _ocr_postprocessed(sf_dir: str):
 
     ds, _ = _fixture_docs(sf_dir)
     out = ocr_documents(
-        ds, mode="fused", concurrency=(1, 8), batch_size=8,
+        ds, concurrency=None, batch_size=8,
         postprocess=["fixutf8", "fixsholem"],
     )
     return out.map_batches(explode_documents, batch_format="pyarrow")
@@ -2435,7 +2420,9 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # the input is the north-star nested table, not a SQL view)
         "media_caption_pairs": _media_caption_pairs,
         "span_kind_transitions": _span_kind_transitions,
-        "ocr_extract_fused": _ocr_fused,
+        # the fused plan was removed; the name stays resolvable and runs
+        # the one flagship plan
+        "ocr_extract_fused": _ocr_exploded,
         "ocr_extract_flood": _ocr_flood,
         "ocr_extract_postprocessed": _ocr_postprocessed,
         "ocr_glyph_stream": _ocr_glyph_stream,
@@ -2950,8 +2937,8 @@ def _ann_ivf_sql(sf_dir: str = "/root/testdata/sf0.01", k: int = 10,
     trained coarse quantizer (deterministic seeded k-means over the
     corpus sample) is injected as literals — it is a model artifact,
     i.e. a PARAMETER of the operator like the LSH planes, but unlike
-    them it is corpus-dependent, so this oracle is generated for the
-    driver's correctness tier (sf0.01).  Given the quantizer, the SQL
+    them it is corpus-dependent, so this oracle is generated from the
+    ``sf_dir`` it is checked against.  Given the quantizer, the SQL
     independently re-derives cell assignment (argmin centroid
     distance), probe order (centroid distance to q), the auto-widen
     rule, and cosine top-k — exactly what the hive-partitioned read
@@ -4171,8 +4158,10 @@ _WINNOW_RANKED_CTE = r"""
 """
 
 
-def oracle_sql() -> dict[str, str]:
-    sql = _oracle_sql_base()
+def oracle_sql(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
+    """Every query's DuckDB oracle.  ``sf_dir`` is the corpus that
+    corpus-dependent oracles (the IVF quantizer) are generated from."""
+    sql = _oracle_sql_base(sf_dir)
     # the rarest-prefix containment plan returns the exact plan's rows
     # by construction (pigeonhole candidate completeness + exact
     # verification) — one SQL derivation checks both
@@ -4218,7 +4207,7 @@ _NGRAM_LM_SQL = """
         """
 
 
-def _oracle_sql_base() -> dict[str, str]:
+def _oracle_sql_base(sf_dir: str = "/root/testdata/sf0.01") -> dict[str, str]:
     from tensorflow_ocr_ray.pipelines.graph import (
         COMPONENTS_ORACLE_SQL,
         TRIANGLE_ORACLE_SQL,
@@ -5291,7 +5280,7 @@ def _oracle_sql_base() -> dict[str, str]:
         # answer over the full corpus: the SAME re-derivation
         "ann_index_append": _ann_lsh_sql(),
         "ann_recall_eval": _ann_recall_sql(),
-        "ann_topk_ivf": _ann_ivf_sql(),
+        "ann_topk_ivf": _ann_ivf_sql(sf_dir),
         # simhash64 re-derived in SQL: identical md5-low-64 gram hashes,
         # per-bit majority vote, unsigned->signed int64 reinterpretation
         "simhash_fingerprints": r"""

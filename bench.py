@@ -3,7 +3,7 @@
 Modes:
   python bench.py                 # headline pipelines over $GRAFT_SF_DIR
   python bench.py --ocr-only      # just the OCR doc pipeline (used by --scaling)
-  python bench.py --scaling       # same OCR job at 8 vs 32 CPUs in fresh
+  python bench.py --scaling       # same OCR job at 2 vs 8 CPUs in fresh
                                   # processes; reports both throughputs +
                                   # scaling efficiency and updates
                                   # BENCH/BASELINE.md
@@ -24,10 +24,10 @@ import time
 DEFAULT_SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 
 # OCR corpus sizes per sf tier (docs; ~2.3 media spans/doc, ~4.5ms/page/
-# core — sized so actor-pool startup amortizes and the headline reflects
+# core — sized so scorer-pool startup amortizes and the headline reflects
 # steady-state throughput)
 OCR_DOCS = {"sf0.001": 200, "sf0.01": 1000, "sf0.1": 16000}
-# big enough that actor-pool ramp + the reassembly shuffle's fixed cost
+# big enough that scorer-pool ramp + the reassembly shuffle's fixed cost
 # amortize at the 4N level (>= ~45 s wall), small enough that 3 attempts
 # per level finish in minutes
 SCALING_DOCS = 24000
@@ -58,7 +58,7 @@ def _init_ray(num_cpus: int):
     ctx.enable_progress_bars = False
     # The reassembly groupby's Sort AllToAll reserves ~half the cluster
     # under Ray Data's default resource-reservation allocator, capping the
-    # OCR scorer actor pool at ~3 of 8 CPUs even though the sort's own
+    # OCR scorer pool at ~3 of 8 CPUs even though the sort's own
     # work is a tail-end blip (measured: scorer stage 153s CPU-time but
     # only ~2.8x effective parallelism at 8 CPUs).  Disabling reservation
     # lets the streaming executor share cores greedily across ops:
@@ -127,23 +127,15 @@ def bench_ocr(
         ds = rd.from_arrow(docs)
         out = ocr_documents(
             ds,
-            mode="exploded",
             media_spec={"kind": "dir", "path": media_root},
-            # default: fixed pool of N-1 actors — leaves one CPU for the
-            # explode / repartition / sort stages (a pool of num_cpus
-            # deadlocks the upstream task; the (1, N) autoscaling pool
-            # never ramps up and runs ~4x slower — measured in
-            # BENCH/BASELINE.md notes).  Scaling runs override this so
-            # the actor:CPU ratio is IDENTICAL at both levels.
+            # default: at most N-1 scorer tasks in flight, leaving one
+            # CPU for the explode / repartition / sort stages so they
+            # keep pace with the scorer.  Scaling runs override this so
+            # the scorer:CPU ratio is IDENTICAL at both levels.
             concurrency=concurrency or max(1, num_cpus - 1),
             batch_size=16,
             num_blocks=int(os.environ.get("GRAFT_OCR_BLOCKS", 0))
             or 4 * num_cpus,
-            # "streaming" routes reassembly through the pipelining
-            # streaming_exchange instead of the groupby Sort barrier
-            # (see ocr_pipeline.ocr_documents reassemble_via docs)
-            reassemble_via=os.environ.get("GRAFT_OCR_REASSEMBLE",
-                                          "groupby"),
         )
         n_out = out.count()
         elapsed = time.time() - t0
@@ -193,8 +185,6 @@ def bench_extract(
             batch_size=16,
             num_blocks=int(os.environ.get("GRAFT_OCR_BLOCKS", 0))
             or 4 * num_cpus,
-            reassemble_via=os.environ.get("GRAFT_OCR_REASSEMBLE",
-                                          "groupby"),
         )
         n_out = out.count()
         elapsed = time.time() - t0
@@ -293,17 +283,11 @@ def run_scaling(sf_dir: str, low: int = 2, high: int = 8,
                        GRAFT_SF_DIR=sf_dir,
                        # identical RELATIVE config at both levels:
                        # 8 blocks per CPU (straggler smoothing: scorer
-                       # task waves stay short relative to wall) and the
-                       # pipelining streaming reassembly (the groupby
-                       # Sort is a barrier — reassembly used to start
-                       # only after the LAST span was scored, a pure
-                       # drain tail that scales with level; measured
-                       # 49.2 -> 42.1 s at 8 CPUs, 24k docs)
-                       GRAFT_OCR_BLOCKS=str(8 * cpus),
-                       GRAFT_OCR_REASSEMBLE="streaming")
-            # actor:CPU ratio held constant across levels (cpus//2
-            # actors + cpus//2 for the explode/shuffle stages) so the
-            # two levels are true N- vs 4N-shaped configs
+                       # task waves stay short relative to wall)
+                       GRAFT_OCR_BLOCKS=str(8 * cpus))
+            # scorer:CPU ratio held constant across levels (cpus//2
+            # scorer tasks + cpus//2 for the explode/shuffle stages) so
+            # the two levels are true N- vs 4N-shaped configs
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--ocr-only",
                  "--pipeline", pipeline,
@@ -363,7 +347,7 @@ def _write_scaling_md(r: dict) -> None:
             f.write(
                 header +
                 "\nSame protocol as the OCR table above (fresh processes,\n"
-                "best-of-3 per level, constant actor:CPU ratio), but the\n"
+                "best-of-3 per level, constant scorer:CPU ratio), but the\n"
                 "combined web-extraction flagship: html spans strip\n"
                 "boilerplate, media spans OCR, text spans pass through —\n"
                 "one exploded stream, span-sequence order preserved.\n\n"

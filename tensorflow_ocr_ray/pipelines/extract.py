@@ -24,7 +24,7 @@ reassembly — applies unchanged).
 
 Scale note: the strip stage is pure per-string regex work with no state,
 so it rides plain tasks and pipelines with both the explode above and
-the actor/task scorer pool below; html-heavy corpora just shift wall
+the scorer task pool below; html-heavy corpora just shift wall
 time between the two map stages, never into the shuffle.
 """
 
@@ -69,16 +69,12 @@ def strip_html_spans(batch: pa.Table) -> pa.Table:
 def extract_documents(
     ds: "ray.data.Dataset", **ocr_kwargs
 ) -> "ray.data.Dataset":
-    """The combined extraction pipeline: :func:`ocr_documents`'s exploded
-    plan with the HTML strip stage hooked in ahead of the scorer pool.
-    Accepts every ``ocr_documents`` knob except ``mode``/
-    ``pre_score_transform`` (both owned here)."""
-    ocr_kwargs.pop("mode", None)
+    """The combined extraction pipeline: :func:`ocr_documents`'s plan
+    with the HTML strip stage hooked in ahead of the scorer pool.
+    Accepts every ``ocr_documents`` knob except ``pre_score_transform``
+    (owned here)."""
     return ocr_documents(
-        ds,
-        mode="exploded",
-        pre_score_transform=strip_html_spans,
-        **ocr_kwargs,
+        ds, pre_score_transform=strip_html_spans, **ocr_kwargs
     )
 
 

@@ -7,31 +7,28 @@ per-document span sequence ``(kind, text, media_ref, order)`` is preserved
 exactly (the reference's ordering invariant, carried by explicit ordinal
 columns — never by block order).
 
-Two physical plans, same semantics:
+One physical plan, built for skew (a 1-span doc next to a 500-span doc,
+tiny pages next to 600x600 ones):
 
-- ``fused`` — ``map_batches(OcrDocumentStage)`` over whole document rows.
-  Zero shuffles; spans never leave their row.  Best when documents are
-  small and uniform.
+1. ``map_batches`` explode: doc rows → span rows (doc_id, kind, text,
+   media_ref, offset) — pure Arrow ``list_flatten`` +
+   ``list_parent_indices``, zero-copy — then an optional span transform
+   (the html strip of ``pipelines/extract.py``) and a hash bucket of
+   ``doc_id``.
+2. optional ``repartition(num_blocks)`` so span rows spread evenly
+   regardless of per-document span counts.
+3. ``map_batches(make_span_ocr_fn(...))`` task pool — the single heavy
+   stage; media rows OCR'd, text rows pass.
+4. ``groupby("bucket").map_groups`` reassembly — the ONE wide shuffle —
+   sorting each bucket by ``(doc_id, offset)`` and rebuilding the spans
+   list.
 
-- ``exploded`` — the scale plan for skew (a 1-span doc next to a 500-span
-  doc, tiny pages next to 600x600 ones):
-    1. ``map_batches`` explode: doc rows → span rows (doc_id, kind, text,
-       media_ref, offset) — pure Arrow ``list_flatten`` +
-       ``list_parent_indices``, zero-copy.
-    2. optional ``repartition`` so span rows spread evenly regardless of
-       per-document span counts.
-    3. ``map_batches(OcrSpanStage, concurrency=N, batch_size=B)`` actor
-       pool — the single heavy stage; media rows OCR'd, text rows pass.
-    4. ``groupby(doc_id).map_groups`` reassembly — the ONE wide shuffle —
-       sorting each group by ``offset`` and rebuilding the spans list.
-       ``reassemble_via="streaming"`` swaps the groupby's Sort barrier
-       for ``stages.exchange.streaming_exchange``: scored blocks route
-       to their bucket collector the moment they land, so reassembly
-       overlaps the scorer instead of trailing it (the Sort must see
-       every block before sampling boundaries — a drain tail that grows
-       with cluster size; measured 49.2 → 42.1 s at 8 CPUs / 24k docs).
+The alternatives were measured and removed (BUILD_NOTES "One physical
+plan"): a fused whole-document actor stage, an actor-pool scorer, and
+reassembly through ``stages.exchange``'s hash or streaming exchange were
+each slower or hung.
 
-Both paths are lazy Datasets; callers consume via write_parquet /
+The result is a lazy Dataset; callers consume via write_parquet /
 iter_batches.  No ray.init here — sessions belong to the driver.
 """
 
@@ -44,7 +41,7 @@ import ray.data
 
 from tensorflow_ocr_ray.config import OcrConfig
 from tensorflow_ocr_ray.fixtures import DOCUMENTS_SCHEMA, SPAN_SCHEMA
-from tensorflow_ocr_ray.stages.ocr_stages import OcrDocumentStage, OcrSpanStage
+from tensorflow_ocr_ray.stages.ocr_stages import make_span_ocr_fn
 
 EXPLODED_SCHEMA = pa.schema(
     [
@@ -157,185 +154,77 @@ def ocr_documents(
     font_spec: dict | None = None,
     media_spec: dict | None = None,
     postprocess: list[str] | None = None,
-    mode: str = "exploded",
-    concurrency: int | tuple[int, int] = 4,
+    concurrency: int | None = 4,
     batch_size: int = 16,
     num_blocks: int | None = None,
-    reassemble_buckets: int | None = None,
     scorer_spec: dict | None = None,
     ray_remote_args: dict | None = None,
     on_media_error: str = "raise",
-    reassemble_via: str = "groupby",
-    pool: str = "tasks",
     pre_score_transform=None,
 ) -> "ray.data.Dataset":
-    """Build the lazy OCR Dataset; see module docstring for the two plans.
+    """Build the lazy OCR Dataset; see the module docstring for the plan.
 
-    ``ray_remote_args`` reaches the OCR actor pool (e.g. ``num_gpus`` for
-    GPU scorer deployments, ``num_cpus`` to change per-actor sizing).
+    ``concurrency`` caps the scorer's in-flight tasks (``None``: no cap).
+    ``ray_remote_args`` reaches the scorer's ``map_batches`` (e.g.
+    ``num_gpus`` for GPU scorer deployments).
 
-    ``pre_score_transform`` (exploded mode only): an Arrow
-    ``Table → Table`` batch fn applied to the span stream right after the
-    explode — the seam ``pipelines/extract.py`` hangs the HTML
-    boilerplate-strip stage on, so one pipeline extracts every modality
-    in a single streamed pass."""
-    if reassemble_buckets is None:
-        # group-count scales with the cluster so per-bucket work stays
-        # bounded as nodes are added (fixed 64 was an r1 nit)
-        try:
-            import ray as _ray
+    ``pre_score_transform``: an Arrow ``Table → Table`` batch fn applied
+    to the span stream right after the explode — the seam
+    ``pipelines/extract.py`` hangs the HTML boilerplate-strip stage on,
+    so one pipeline extracts every modality in a single streamed pass."""
+    # group count scales with the cluster so per-bucket work stays
+    # bounded as nodes are added
+    try:
+        import ray as _ray
 
-            cpus = int(_ray.cluster_resources().get("CPU", 16))
-        except Exception:
-            cpus = 16
-        reassemble_buckets = max(64, 4 * cpus)
-    kwargs = dict(
+        cpus = int(_ray.cluster_resources().get("CPU", 16))
+    except Exception:
+        cpus = 16
+    n_buckets = max(64, 4 * cpus)
+    stage_kwargs = dict(
         cfg=cfg,
         font_spec=font_spec,
         media_spec=media_spec,
         postprocess=postprocess,
         scorer_spec=scorer_spec,
-        # "empty": a missing/corrupt payload yields text "" instead of
-        # failing the task — at 100 TB a few bad objects must not kill a
-        # partition
         on_media_error=on_media_error,
     )
-    remote = ray_remote_args or {}
-    if pre_score_transform is not None and mode != "exploded":
-        raise ValueError("pre_score_transform requires mode='exploded'")
-    if mode == "fused":
-        return ds.map_batches(
-            OcrDocumentStage,
-            fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            **remote,
-        )
-    if mode != "exploded":
-        raise ValueError(f"unknown mode {mode!r}")
     spans = ds.map_batches(explode_documents, batch_format="pyarrow")
     if pre_score_transform is not None:
         # cheap CPU-bound span transform (e.g. HTML strip) rides plain
-        # tasks ahead of the heavy scorer stage — it pipelines with the
-        # explode and never blocks the actor pool
+        # tasks ahead of the scorer and pipelines with the explode
         spans = spans.map_batches(pre_score_transform,
                                   batch_format="pyarrow")
 
-    # The ONE wide shuffle downstream co-locates each document's spans on
-    # a deterministic hash bucket of doc_id (small-int key, ≤
-    # reassemble_buckets groups) instead of the raw doc_id (which would
-    # schedule one Python group call per document).  The bucket is
-    # computed HERE, before the actor stage, so the per-worker polars
-    # first-import (~0.2s × every worker) happens during pipeline spin-up
-    # where it overlaps the OCR actor-pool startup — when this ran after
-    # the OCR stage it landed in the drain tail and added ~2s wall
-    # (measured r4, sf0.1/32cpu); the int32 rides through the actor
-    # stage at 4 bytes/row.
+    # The reassembly groups on a deterministic hash bucket of doc_id
+    # (small-int key, ≤ n_buckets groups) instead of the raw doc_id,
+    # which would schedule one Python group call per document.  The
+    # bucket is computed before the scorer so each worker's polars
+    # first-import (~0.2 s) lands in pipeline spin-up, not in the drain
+    # tail (measured ~2 s wall at sf0.1/32 CPUs when it ran after).
     def add_bucket(batch: pa.Table) -> pa.Table:
-        # vectorized deterministic string hash (polars xxhash with a fixed
-        # seed — stable across tasks in a run, which is all a shuffle key
-        # needs); the crc32 python loop it replaces was the hot-path cost
-        # the r1 verdict flagged
-        try:
-            import polars as pl
+        import polars as pl
 
-            h = pl.from_arrow(batch.column("doc_id")).hash(seed=0)
-            buckets = (
-                (h % reassemble_buckets).cast(pl.Int32).to_arrow()
-            )
-        except ImportError:  # pragma: no cover - polars is baked in
-            import zlib
-
-            buckets = pa.array(
-                [
-                    zlib.crc32(d.encode()) % reassemble_buckets
-                    for d in batch.column("doc_id").to_pylist()
-                ],
-                type=pa.int32(),
-            )
+        # polars xxhash with a fixed seed: stable across tasks in a run,
+        # which is all a shuffle key needs
+        h = pl.from_arrow(batch.column("doc_id")).hash(seed=0)
+        buckets = (h % n_buckets).cast(pl.Int32).to_arrow()
         return batch.append_column("bucket", buckets)
 
     spans = spans.map_batches(add_bucket, batch_format="pyarrow")
     if num_blocks:
         # spread span rows evenly: per-document span-count skew dies here
         spans = spans.repartition(num_blocks)
-    if pool == "tasks":
-        # default deployment: plain tasks over warm reused worker
-        # processes, stage state built once per worker via the
-        # module-global cache (make_span_ocr_fn docstring has the
-        # measured 3.5-6s-per-execution actor-spawn numbers this
-        # avoids).  ``concurrency`` still caps in-flight tasks.
-        from tensorflow_ocr_ray.stages.ocr_stages import make_span_ocr_fn
-
-        scored = spans.map_batches(
-            make_span_ocr_fn(kwargs),
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=(concurrency if isinstance(concurrency, int)
-                         else None),
-            **remote,
-        )
-    elif pool == "actors":
-        # reserved-resource deployment (GPU scorer weights pinned per
-        # actor via ray_remote_args={"num_gpus": ...}): the north-star
-        # form for heavy models — state lives on an explicit actor.
-        scored = spans.map_batches(
-            OcrSpanStage,
-            fn_constructor_kwargs=kwargs,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
-            **remote,
-        )
-    else:
-        raise ValueError(f"unknown pool {pool!r}")
-
-    bucketed = scored
-    # MEASURED r4 (sf0.1, 32 cpus): routing this reassembly through
-    # hash_exchange LOSES — OCR total 15.2s vs 11.7s on groupby — because
-    # the exchange's eager to_arrow_refs() breaks pipelining with the
-    # heavy OCR actor stage (reassembly can't start until every span is
-    # scored), while the groupby's sort shuffle overlaps with it inside
-    # the streaming executor, and the sort on a small-int key over
-    # already-scored skinny span rows is cheap.  The exchange wins where
-    # its input is the terminal wide step of an already-materialized or
-    # cheap-to-produce projection (the 26 relational/window sites);
-    # here the sort path stays.  `reassemble_via="exchange"` keeps the
-    # measured alternative callable.
-    if reassemble_via == "streaming":
-        # Routed reassembly that PIPELINES with the scorer: the groupby
-        # path's Sort is an AllToAll barrier — boundary sampling needs
-        # every scored block, so reassembly starts only after the last
-        # span is scored, a pure drain tail on top of the scorer wall
-        # (and under the default resource-reservation allocator the
-        # pending Sort also reserves ~half the cluster, throttling the
-        # scorer itself to ~3 of 8 CPUs — measured r5).  The streaming
-        # exchange routes each scored block to its bucket collector the
-        # moment it lands, so at scorer completion only the per-bucket
-        # vectorized rebuilds remain.  Same semantics: reassemble_group
-        # sorts by (doc_id, offset) inside the bucket, so arrival order
-        # is immaterial.
-        from tensorflow_ocr_ray.stages.exchange import streaming_exchange
-
-        return streaming_exchange(
-            bucketed,
-            "bucket",
-            reassemble_buckets,
-            lambda g: reassemble_group(g.drop_columns(["bucket"])),
-            batch_format="pyarrow",
-        )
-    if reassemble_via == "exchange":
-        from tensorflow_ocr_ray.stages.exchange import hash_exchange
-
-        return hash_exchange(
-            bucketed,
-            "bucket",
-            reassemble_buckets,
-            lambda g: reassemble_group(g.drop_columns(["bucket"])),
-            batch_format="pyarrow",
-        )
-    return bucketed.groupby("bucket").map_groups(
+    # plain tasks over warm reused worker processes; stage state is built
+    # once per worker (make_span_ocr_fn)
+    scored = spans.map_batches(
+        make_span_ocr_fn(stage_kwargs),
+        batch_format="pyarrow",
+        batch_size=batch_size,
+        concurrency=concurrency,
+        **(ray_remote_args or {}),
+    )
+    return scored.groupby("bucket").map_groups(
         lambda g: reassemble_group(g.drop_columns(["bucket"])),
         batch_format="pyarrow",
     )

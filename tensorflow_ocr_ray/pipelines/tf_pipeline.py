@@ -186,14 +186,13 @@ def ocr_with_scorer(
     (dense K5/K8 or conv K7) instead of kNN.
 
     Training happens exactly ONCE, driver-side; the weights go to the
-    object store via ``ray.put`` and every pool actor loads the same
-    broadcast state in ``__init__`` (never retrains — enforced by
+    object store via ``ray.put`` and every scorer worker loads the same
+    broadcast state once (never retrains — enforced by
     ``_OcrBase._make_classifier``).
 
-    ``num_gpus`` is forwarded to the actor pool (the north star's GPU
-    scorer shape: weights loaded once per GPU actor, batched inference);
-    this sandbox has no GPUs, so the default keeps the pure-numpy CPU
-    path."""
+    ``num_gpus`` is forwarded to the scorer tasks (the north star's GPU
+    scorer shape: batched inference on a GPU worker); the default keeps
+    the pure-numpy CPU path."""
     import ray
 
     from tensorflow_ocr_ray.pipelines.ocr_pipeline import (
@@ -211,8 +210,7 @@ def ocr_with_scorer(
     remote = {"ray_remote_args": {"num_gpus": num_gpus}} if num_gpus else {}
     out = ocr_documents(
         rd.from_arrow(docs),
-        mode="fused",
-        concurrency=(1, 4),
+        concurrency=4,
         batch_size=8,
         scorer_spec={"kind": kind, "state_ref": state_ref},
         **remote,

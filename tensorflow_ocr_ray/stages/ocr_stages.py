@@ -1,19 +1,17 @@
-"""OCR actor stages for ``map_batches``.
+"""OCR stages for ``map_batches``.
 
 Stateful-stage pattern (the reference's process-global k-d tree + config,
-main/kd.c:28 / main/main.c:26-47, becomes per-actor warm state):
+main/kd.c:28 / main/main.c:26-47, becomes per-worker warm state):
 
-- ``__init__`` runs once per actor: build/fetch the font index, construct
-  the media store, freeze the config.  Nothing heavy per batch.
+- ``__init__`` runs once per worker process: build/fetch the font index,
+  construct the media store, freeze the config.  Nothing heavy per batch.
 - ``__call__`` runs per Arrow batch, zero-copy in, Arrow out.
 
-Two granularities:
-- ``OcrSpanStage``     — rows are exploded spans ``(doc_id, kind, text,
-                         media_ref, offset)``; media rows get OCR'd, text
-                         rows pass through untouched.
-- ``OcrDocumentStage`` — rows are whole documents ``(doc_id, spans)``;
-                         spans are processed in place (the shuffle-free
-                         fused path).
+- ``OcrSpanStage``   — rows are exploded spans ``(doc_id, kind, text,
+                       media_ref, offset)``; media rows get OCR'd, text
+                       rows pass through untouched.  The flagship runs it
+                       as a task pool through :func:`make_span_ocr_fn`.
+- ``GlyphDumpStage`` — the -T per-glyph feature dump over the same rows.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import pyarrow as pa
 
 from tensorflow_ocr_ray.config import OcrConfig
 from tensorflow_ocr_ray.core.page import ocr_payload
-from tensorflow_ocr_ray.fixtures import SPAN_SCHEMA
 from tensorflow_ocr_ray.state.fonts_source import make_font_index
 from tensorflow_ocr_ray.state.media import make_media_store
 
@@ -58,10 +55,10 @@ class _OcrBase:
         reference kNN ocrValue; "dense" loads broadcast weights (K5/K8);
         "cnn" loads the conv scorer over fixed glyph windows (K7).
 
-        Actors NEVER train: weights are trained once on the driver and
+        Stages NEVER train: weights are trained once on the driver and
         shipped as ``state`` (inline) or ``state_ref`` (``ray.put``
-        broadcast — the actor-pool path; N actors fetch one copy from the
-        object store instead of running N redundant trainings)."""
+        broadcast — N workers fetch one copy from the object store
+        instead of running N redundant trainings)."""
         if not spec or spec.get("kind") in (None, "knn"):
             return None
         kind = spec["kind"]
@@ -75,7 +72,7 @@ class _OcrBase:
                 f"scorer spec for {kind!r} must carry 'state' or "
                 "'state_ref' — train driver-side (models.dense."
                 "train_on_font_index / models.cnn.train_on_font_windows) "
-                "and broadcast; actors never train"
+                "and broadcast; stages never train"
             )
         if kind == "dense":
             from tensorflow_ocr_ray.models.dense import DenseModel
@@ -117,7 +114,7 @@ def _spec_fingerprint(kwargs: dict) -> str:
 
 
 def make_span_ocr_fn(kwargs: dict):
-    """Task-pool variant of :class:`OcrSpanStage`.
+    """Task-pool form of :class:`OcrSpanStage`: the flagship's scorer.
 
     An actor pool pays a measured 3.5-6 s spin-up per EXECUTION on a
     32-cpu node (31 fresh actor processes), while Ray reuses warm
@@ -125,11 +122,9 @@ def make_span_ocr_fn(kwargs: dict):
     state here is cheap to build (~0.3 s: font index + media-store
     handle + optional broadcast-weight fetch), so building it once per
     worker process — cached in a module global keyed by the spec —
-    gives the identical once-per-process amortization without the
-    actor-spawn tax.  Use the actor path (``pool="actors"``) when the
-    state genuinely needs a reserved resource (GPU weights pinned on a
-    ``num_gpus`` actor) or takes long enough to build that an unlucky
-    worker churn would repay it often.
+    gives the same once-per-process amortization without the
+    actor-spawn tax.  A GPU scorer asks for its device per task through
+    ``ocr_documents(ray_remote_args={"num_gpus": ...})``.
 
     The returned closure captures only the spec (small; scorer weights
     should ride as ``state_ref`` broadcasts, never inline)."""
@@ -157,19 +152,6 @@ class OcrSpanStage(_OcrBase):
         ]
         i = batch.schema.get_field_index("text")
         return batch.set_column(i, "text", pa.array(out, type=pa.string()))
-
-
-class OcrDocumentStage(_OcrBase):
-    """Process whole document rows: OCR each media span in place."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        spans_col = batch.column("spans").to_pylist()
-        for spans in spans_col:
-            for span in spans:
-                if span["kind"] == "media":
-                    span["text"] = self._ocr_ref(span["media_ref"])
-        i = batch.schema.get_field_index("spans")
-        return batch.set_column(i, "spans", pa.array(spans_col, type=SPAN_SCHEMA))
 
 
 class GlyphDumpStage(_OcrBase):

@@ -84,7 +84,7 @@ def test_e2e_extract_documents_span_equality(ray_session):
 
     n = 12
     ds = rd.from_arrow(generate_web_documents(n, seed=42))
-    out = extract_documents(ds, concurrency=(1, 2), batch_size=16,
+    out = extract_documents(ds, concurrency=2, batch_size=16,
                             num_blocks=4)
     got = _spans_as_tuples(
         pa.Table.from_pandas(out.to_pandas())

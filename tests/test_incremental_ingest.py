@@ -31,7 +31,7 @@ def test_new_file_sorting_first_does_not_invalidate_done(ray_session, tmp_path):
 
     in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
     _mini_corpus(in_dir, "m-batch.parquet", ["d1", "d2"])
-    kwargs = dict(mode="fused", concurrency=2, batch_size=4)
+    kwargs = dict(concurrency=2, batch_size=4)
 
     files = sorted(glob.glob(os.path.join(in_dir, "*.parquet")))
     r1 = run_checkpointed(files, out_dir, pipeline_kwargs=kwargs)

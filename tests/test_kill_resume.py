@@ -60,7 +60,7 @@ def test_kill_and_resume(tmp_path, ray_session):
     files = sorted(glob.glob(os.path.join(in_dir, "*.parquet")))
     reports = run_checkpointed(
         files, out_dir,
-        pipeline_kwargs=dict(mode="fused", concurrency=2, batch_size=8),
+        pipeline_kwargs=dict(concurrency=2, batch_size=8),
     )
     assert len(reports) == 3
     assert sum(1 for r in reports if r.skipped) == done_before

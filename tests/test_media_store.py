@@ -44,7 +44,6 @@ def test_dir_store_ocr_pipeline(ray_session, tmp_path):
                 )
     out = ocr_documents(
         rd.from_arrow(docs),
-        mode="fused",
         concurrency=1,
         batch_size=8,
         media_spec={"kind": "dir", "path": root},

@@ -110,22 +110,22 @@ def test_ann_topk_lsh_oracle(ray_session):
 
 
 def test_ann_topk_ivf_oracle(ray_session):
-    """The IVF oracle is generated for the driver's tier (sf0.01 —
-    the quantizer is corpus-dependent), so this test runs there too."""
+    """The IVF oracle's quantizer is corpus-dependent, so it is generated
+    from the corpus it checks: ``oracle_sql(sf_dir)`` at each scale."""
     import __ray_entry__ as e
 
-    sf = "/root/testdata/sf0.01"
-    got = e.queries()["ann_topk_ivf"](sf)
-    if hasattr(got, "to_pandas"):
-        got = got.to_pandas()
-    con = duckdb.connect()
-    con.execute(
-        "CREATE VIEW embeddings AS SELECT * FROM "
-        f"read_parquet('{sf}/embeddings.parquet')"
-    )
-    orc = con.execute(e.oracle_sql()["ann_topk_ivf"]).fetchdf()
-    assert got["vec_id"].tolist() == orc["vec_id"].tolist()
-    assert got["sim"].tolist() == orc["sim"].tolist()
+    for sf in ("/root/testdata/sf0.01", "/root/testdata/sf0.1"):
+        got = e.queries()["ann_topk_ivf"](sf)
+        if hasattr(got, "to_pandas"):
+            got = got.to_pandas()
+        con = duckdb.connect()
+        con.execute(
+            "CREATE VIEW embeddings AS SELECT * FROM "
+            f"read_parquet('{sf}/embeddings.parquet')"
+        )
+        orc = con.execute(e.oracle_sql(sf)["ann_topk_ivf"]).fetchdf()
+        assert got["vec_id"].tolist() == orc["vec_id"].tolist(), sf
+        assert got["sim"].tolist() == orc["sim"].tolist(), sf
 
 
 def test_q16_degenerate_all_equal(ray_session, tmp_path):

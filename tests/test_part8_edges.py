@@ -252,11 +252,13 @@ def test_semdedup_planted_duplicates(ray_session, tmp_path):
 def test_snapshot_time_travel_version_semantics(ray_session, tmp_path):
     """Version order is data: key 3293 (37*89) shows its v1 update at
     as_of=1 but is GONE at as_of=2; inserts only appear at as_of=3;
-    as_of=0 is the untouched base."""
-    keys = [3293, 37, 89, 43, 2]
+    as_of=0 is the untouched base.  Key 3827 (43*89) is deleted at v2,
+    yet its v3 insert (key + 2*10^12, base cents + 1) still appears:
+    an insert after a delete is not swallowed by it."""
+    keys = [3293, 37, 89, 43, 2, 3827]
     sf = _write(tmp_path, "orders", pa.table(
         {"o_orderkey": pa.array(keys, pa.int64()),
-         "o_totalprice": pa.array([10.0, 20.0, 30.0, 40.0, 50.0])}))
+         "o_totalprice": pa.array([10.0, 20.0, 30.0, 40.0, 50.0, 60.0])}))
     from tensorflow_ocr_ray.pipelines.relational import (
         snapshot_time_travel,
     )
@@ -267,12 +269,13 @@ def test_snapshot_time_travel_version_semantics(ray_session, tmp_path):
         return list(map(tuple, df.itertuples(index=False)))
 
     assert state(0) == [(2, 5000, 0), (37, 2000, 0), (43, 4000, 0),
-                        (89, 3000, 0), (3293, 1000, 0)]
+                        (89, 3000, 0), (3293, 1000, 0), (3827, 6000, 0)]
     assert state(1) == [(2, 5000, 0), (37, 2005, 1), (43, 4000, 0),
-                        (89, 3000, 0), (3293, 1005, 1)]
+                        (89, 3000, 0), (3293, 1005, 1), (3827, 6000, 0)]
     assert state(2) == [(2, 5000, 0), (37, 2005, 1), (43, 4000, 0)]
     assert state(3) == [(2, 5000, 0), (37, 2005, 1), (43, 4000, 0),
-                        (2_000_000_000_043, 4001, 3)]
+                        (2_000_000_000_043, 4001, 3),
+                        (2_000_000_003_827, 6001, 3)]
 
 
 def test_salted_join_random_frames(ray_session, tmp_path):

@@ -75,7 +75,7 @@ def test_pdf_documents_layout_and_ocr(ray_session, tmp_path):
 
     out = ocr_documents(
         pdf_documents(pdfs, media_root, converter=fake_converter),
-        mode="fused", concurrency=2, batch_size=2,
+        concurrency=2, batch_size=2,
         media_spec={"kind": "dir", "path": media_root},
     )
     got = out.take_all()
@@ -132,7 +132,7 @@ def test_pdf_documents_real_converter_ocr_text(ray_session, tmp_path):
     media_root = str(tmp_path / "media")
     out = ocr_documents(
         pdf_documents([str(path)], media_root),  # REAL converter
-        mode="fused", concurrency=2, batch_size=1,
+        concurrency=2, batch_size=1,
         media_spec={"kind": "dir", "path": media_root},
     ).take_all()
     assert len(out) == 1 and out[0]["doc_id"] == "scanned-book"

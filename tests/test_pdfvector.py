@@ -190,7 +190,7 @@ def test_e2e_vector_pdf_ocr_text(ray_session, tmp_path):
     media_root = str(tmp_path / "media")
     out = ocr_documents(
         pdf_documents(pdfs, media_root),
-        mode="fused", concurrency=2, batch_size=2,
+        concurrency=2, batch_size=2,
         media_spec={"kind": "dir", "path": media_root},
     )
     rows = {r["doc_id"]: r for r in out.take_all()}

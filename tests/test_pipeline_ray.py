@@ -1,4 +1,4 @@
-"""Ray Data pipeline tests: span-sequence equality, both physical plans,
+"""Ray Data pipeline tests: span-sequence equality of the flagship plan,
 checkpoint/resume, and the glyph-stream stage."""
 
 import os
@@ -33,56 +33,59 @@ def golden():
     return docs, _span_seq(expected_documents(docs))
 
 
-@pytest.mark.parametrize("mode", ["exploded", "fused"])
-def test_span_sequence_equality(ray_session, golden, mode):
+@pytest.mark.parametrize("num_blocks", [4, None],
+                         ids=["repartition", "no_repartition"])
+def test_span_sequence_equality(ray_session, golden, num_blocks):
     """THE correctness gate: per-row (kind, text, media_ref, order) equality
-    between the Ray pipeline and the independent analytic golden."""
+    between the Ray pipeline and the independent analytic golden, with
+    and without the plan's optional repartition step."""
     import ray.data as rd
 
     from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
 
     docs, want = golden
     ds = rd.from_arrow(docs)
-    out = ocr_documents(ds, mode=mode, concurrency=(1, 2), batch_size=8,
-                        num_blocks=4 if mode == "exploded" else None)
+    out = ocr_documents(ds, concurrency=2, batch_size=8,
+                        num_blocks=num_blocks)
     got = _span_seq(pa.Table.from_pandas(out.to_pandas()))
     assert got == want
 
 
-def test_span_sequence_equality_exchange_reassembly(ray_session, golden):
-    """The measured-alternative reassembly path (hash_exchange, Arrow
-    batch_format) must produce the identical span sequences — it loses
-    the sf0.1 bench to the pipelining groupby (see ocr_pipeline.py) but
-    stays a correct, callable plan."""
+def test_span_sequence_equality_trained_scorer(ray_session):
+    """The trained-scorer path on the flagship plan: a broadcast dense
+    scorer (``state_ref``) through ``ocr_documents`` gives the span
+    sequences of an in-process ``OcrSpanStage`` with the same inline
+    state, reassembled by ``reassemble_group``.  The trained scorer reads
+    the fixtures exactly as kNN does, so a second state with its labels
+    rotated proves the spec reaches the scorer workers."""
+    import ray
     import ray.data as rd
 
-    from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
+    from tensorflow_ocr_ray.fonts import get_font_index
+    from tensorflow_ocr_ray.models.dense import train_on_font_index
+    from tensorflow_ocr_ray.pipelines.ocr_pipeline import (
+        explode_documents,
+        ocr_documents,
+        reassemble_group,
+    )
+    from tensorflow_ocr_ray.stages.ocr_stages import OcrSpanStage
 
-    docs, want = golden
-    ds = rd.from_arrow(docs)
-    out = ocr_documents(ds, mode="exploded", concurrency=(1, 2),
-                        batch_size=8, num_blocks=4,
-                        reassemble_via="exchange", reassemble_buckets=7)
-    got = _span_seq(pa.Table.from_pandas(out.to_pandas()))
-    assert got == want
-
-
-def test_span_sequence_equality_streaming_reassembly(ray_session, golden):
-    """The scaling-protocol reassembly path (streaming_exchange — routed
-    while the scorer runs, no Sort barrier) must produce the identical
-    span sequences; within-bucket arrival order is nondeterministic, so
-    this also pins reassemble_group's internal (doc_id, offset) sort."""
-    import ray.data as rd
-
-    from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
-
-    docs, want = golden
-    ds = rd.from_arrow(docs)
-    out = ocr_documents(ds, mode="exploded", concurrency=(1, 2),
-                        batch_size=8, num_blocks=4,
-                        reassemble_via="streaming", reassemble_buckets=7)
-    got = _span_seq(pa.Table.from_pandas(out.to_pandas()))
-    assert got == want
+    # the trained state of tests/test_models.py's dense_model fixture
+    model, _ = train_on_font_index(get_font_index(), epochs=600)
+    state = model.to_state()
+    rotated = {**state, "vocab": state["vocab"][1:] + state["vocab"][:1]}
+    docs = generate_documents(6, seed=SEED)
+    truth = _span_seq(expected_documents(docs))
+    for st in (state, rotated):
+        local = OcrSpanStage(scorer_spec={"kind": "dense", "state": st})
+        want = _span_seq(reassemble_group(local(explode_documents(docs))))
+        out = ocr_documents(
+            rd.from_arrow(docs), concurrency=2, batch_size=8, num_blocks=2,
+            scorer_spec={"kind": "dense", "state_ref": ray.put(st)},
+        )
+        got = _span_seq(pa.Table.from_pandas(out.to_pandas()))
+        assert got == want
+        assert (want == truth) == (st is state)
 
 
 def test_exploded_roundtrip_schema(ray_session, golden):
@@ -128,7 +131,7 @@ def test_checkpoint_run_and_resume(ray_session, tmp_path, golden):
     docs, want = golden
     in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
     files = write_documents_parquet(in_dir, N_DOCS, seed=SEED, num_files=4)
-    kwargs = dict(mode="exploded", concurrency=(1, 2), batch_size=8)
+    kwargs = dict(concurrency=2, batch_size=8)
 
     reports = run_checkpointed(files, out_dir, pipeline_kwargs=kwargs)
     assert len(reports) == 4
@@ -156,7 +159,7 @@ def test_checkpoint_reruns_on_fingerprint_change(ray_session, tmp_path):
 
     in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
     files = write_documents_parquet(in_dir, 4, seed=SEED, num_files=1)
-    kwargs = dict(mode="fused", concurrency=1, batch_size=8)
+    kwargs = dict(concurrency=1, batch_size=8)
     run_checkpointed(files, out_dir, pipeline_kwargs=kwargs)
     # grow the input file → fingerprint changes → partition re-runs
     write_documents_parquet(in_dir, 6, seed=SEED, num_files=1)
@@ -198,7 +201,7 @@ def test_skewed_span_counts(ray_session):
         )
     docs = pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
     out = ocr_documents(
-        rd.from_arrow(docs), mode="exploded", concurrency=2, batch_size=8,
+        rd.from_arrow(docs), concurrency=2, batch_size=8,
         num_blocks=8,
     )
     got = _span_seq(pa.Table.from_pandas(out.to_pandas()))
@@ -225,8 +228,7 @@ def test_zero_span_documents_survive(ray_session):
         ],
         schema=DOCUMENTS_SCHEMA,
     )
-    out = ocr_documents(rd.from_arrow(docs), mode="exploded", concurrency=1,
-                        batch_size=4)
+    out = ocr_documents(rd.from_arrow(docs), concurrency=1, batch_size=4)
     got = _span_seq(pa.Table.from_pandas(out.to_pandas()))
     assert got == {
         "doc-empty": [],
@@ -269,7 +271,7 @@ def test_manifest_span_equal_rate(ray_session, tmp_path):
     files = write_documents_parquet(in_dir, 6, seed=SEED, num_files=2)
     run_checkpointed(
         files, out_dir,
-        pipeline_kwargs=dict(mode="fused", concurrency=1, batch_size=8),
+        pipeline_kwargs=dict(concurrency=1, batch_size=8),
         verify_against_truth=True,
     )
     manifest = read_manifest(out_dir)
@@ -345,7 +347,7 @@ def test_exploded_plan_handles_span_count_skew(ray_session):
     import ray.data as rd
 
     out = ocr_documents(
-        rd.from_arrow(table), mode="exploded", concurrency=2,
+        rd.from_arrow(table), concurrency=2,
         batch_size=8, num_blocks=16,
     ).take_all()
     got = {

@@ -9,6 +9,8 @@ own ``kafka.data`` must reproduce the committed labels verbatim (modulo
 that same Perl postprocess, re-expressed by our chain).
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,8 @@ def _load_dump(path: str):
 
 
 # newtmp.out is a feature-only dump (empty label column) — not comparable
+@pytest.mark.skipif(not os.path.isdir(REF),
+                    reason=f"reference source tree {REF} is not present")
 @pytest.mark.parametrize("artifact", ["tmp.out", "kafka1.out"])
 def test_knn_labels_match_reference_artifact(artifact):
     idx = read_data_file(f"{REF}/fontData/kafka.data")

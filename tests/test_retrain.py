@@ -35,7 +35,7 @@ def test_retrain_reruns_only_affected_partitions(tmp_path, ray_session):
     in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
     write_documents_parquet(in_dir, 12, seed=5, num_files=2)
     files = sorted(glob.glob(os.path.join(in_dir, "*.parquet")))
-    kwargs = dict(mode="fused", concurrency=2, batch_size=8)
+    kwargs = dict(concurrency=2, batch_size=8)
 
     reports = run_checkpointed(files, out_dir, pipeline_kwargs=kwargs)
     assert all(r.status == "done" and not r.skipped for r in reports)

@@ -108,7 +108,7 @@ def main() -> int:
         )
 
     qs = entry.queries()
-    sqls = entry.oracle_sql()
+    sqls = entry.oracle_sql(sf_dir)
     failures = 0
     results: dict[str, dict] = {}
     for name, fn in qs.items():

@@ -21,7 +21,7 @@ the same cycle is:
 
 Usage:
     python tools/retrain.py --input IN_DIR --output OUT_DIR \
-        --corrections corrections.txt [--mode exploded] [--batch-size 16]
+        --corrections corrections.txt [--batch-size 16]
 """
 
 from __future__ import annotations
@@ -96,7 +96,6 @@ def main() -> int:
     ap.add_argument("--input", required=True, help="corpus parquet dir")
     ap.add_argument("--output", required=True, help="checkpointed out dir")
     ap.add_argument("--corrections", required=True)
-    ap.add_argument("--mode", default="exploded")
     ap.add_argument("--batch-size", type=int, default=16)
     ap.add_argument("--concurrency", type=int, default=None)
     args = ap.parse_args()
@@ -141,7 +140,6 @@ def main() -> int:
         files,
         args.output,
         pipeline_kwargs=dict(
-            mode=args.mode,
             concurrency=concurrency,
             batch_size=args.batch_size,
             font_spec={"kind": "ref", "ref": font_ref},

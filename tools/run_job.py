@@ -3,7 +3,7 @@
 Runs the checkpointed OCR pipeline over a partitioned parquet corpus:
 
     python tools/run_job.py --input /data/docs --output /data/ocr_out \
-        [--generate N] [--mode exploded] [--concurrency 31]
+        [--generate N] [--concurrency 31]
 
 Partition granularity = one input parquet file; a killed job re-submitted
 with the same arguments skips partitions whose manifest says done (and
@@ -32,14 +32,13 @@ def main() -> int:
     ap.add_argument("--generate", type=int, default=0,
                     help="generate a fixture corpus of N docs into --input first")
     ap.add_argument("--num-files", type=int, default=8)
-    ap.add_argument("--mode", default="exploded", choices=["exploded", "fused"])
     ap.add_argument("--pipeline", default="ocr", choices=["ocr", "extract"],
                     help="'extract': the combined web-extraction flagship "
                          "(html spans boilerplate-stripped ahead of the "
                          "scorer pool); with --generate the corpus is "
                          "written in the web shape (html spans)")
     ap.add_argument("--concurrency", type=int, default=0,
-                    help="OCR actor pool size (default: CPUs-1)")
+                    help="OCR scorer task cap (default: CPUs-1)")
     ap.add_argument("--batch-size", type=int, default=16)
     ap.add_argument("--scorer", default="knn", choices=["knn", "dense", "cnn"])
     ap.add_argument("--on-media-error", default="raise",
@@ -123,7 +122,7 @@ def main() -> int:
     concurrency = args.concurrency or max(1, cpus - 1)
     from tensorflow_ocr_ray.pipelines.checkpoint import run_checkpointed
 
-    # scorers train exactly once, here on the driver; actors load the
+    # scorers train exactly once, here on the driver; workers load the
     # broadcast weights (never retrain)
     scorer_spec = None
     if args.scorer == "dense":
@@ -138,7 +137,6 @@ def main() -> int:
         model, _ = train_on_font_windows(epochs=120)
         scorer_spec = {"kind": "cnn", "state_ref": ray.put(model.to_state())}
     pipeline_kwargs = dict(
-        mode=args.mode,
         concurrency=concurrency,
         batch_size=args.batch_size,
         num_blocks=4 * cpus,
@@ -151,7 +149,6 @@ def main() -> int:
         from tensorflow_ocr_ray.pipelines.extract import extract_documents
 
         pipeline_fn = extract_documents
-        pipeline_kwargs.pop("mode", None)  # extract owns the plan mode
 
     def _run(fs):
         return run_checkpointed(
