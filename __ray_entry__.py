@@ -119,6 +119,7 @@ def _ocr_flood(sf_dir: str):
     out = ocr_documents(
         ds, concurrency=None, batch_size=8,
         cfg=FIXTURE_CONFIG.with_(use_flood=True),
+        num_blocks=8,
     )
     return out.map_batches(explode_documents, batch_format="pyarrow")
 
@@ -134,6 +135,7 @@ def _ocr_postprocessed(sf_dir: str):
     out = ocr_documents(
         ds, concurrency=None, batch_size=8,
         postprocess=["fixutf8", "fixsholem"],
+        num_blocks=8,
     )
     return out.map_batches(explode_documents, batch_format="pyarrow")
 
@@ -2420,9 +2422,6 @@ def queries() -> dict[str, Callable[[str], Any]]:
         # the input is the north-star nested table, not a SQL view)
         "media_caption_pairs": _media_caption_pairs,
         "span_kind_transitions": _span_kind_transitions,
-        # the fused plan was removed; the name stays resolvable and runs
-        # the one flagship plan
-        "ocr_extract_fused": _ocr_exploded,
         "ocr_extract_flood": _ocr_flood,
         "ocr_extract_postprocessed": _ocr_postprocessed,
         "ocr_glyph_stream": _ocr_glyph_stream,

@@ -1,4 +1,4 @@
-"""CCITT Group 4 (ITU-T T.6) bilevel codec — pure numpy/Python.
+"""CCITT Group 4 (ITU-T T.6) bilevel codec.
 
 The reference reads any TIFF libtiff reads (``main/readPicture.c:36-117``
 via ``TIFFReadRGBAImage``); real scanned-book corpora are overwhelmingly
@@ -9,6 +9,8 @@ Implements the full T.6 modified-modified-READ coding: vertical modes
 V(0)/VR(1..3)/VL(1..3), horizontal mode with the T.4 white/black run
 tables (terminating + makeup + shared extended makeup to 2560), and pass
 mode.  Bit order is MSB-first ("fill order" 1), the TIFF default.
+Everything here is numpy/Python; ``decode_g4`` hands the hot loop to the
+native kernel in ``core/native`` when it can be built.
 
 Tables transcribed from ITU-T Recommendation T.4 (07/2003) Tables 2/3/4
 and T.6 §2.2.1 — public standards.
@@ -16,7 +18,11 @@ and T.6 §2.2.1 — public standards.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
+
+from tensorflow_ocr_ray.core import native
 
 # ---------------- T.4 run-length code tables ------------------------------
 # (run_length, code_string) — code strings are MSB-first bit literals.
@@ -314,8 +320,30 @@ def _read_run(r: "_FastBits", table) -> int:
             return total
 
 
+@functools.cache
+def _int_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The run and mode tables as int32 (N, 3) arrays for the native
+    kernel: (run, len, is_term) and (op, arg, len), len 0 = no code."""
+    def arr(table):
+        return np.array([e if e is not None else (0, 0, 0) for e in table],
+                        dtype=np.int32)
+    return arr(_WHITE_TABLE), arr(_BLACK_TABLE), arr(_MODE_TABLE_INT)
+
+
 def decode_g4(data: bytes, width: int, height: int) -> np.ndarray:
     """T.6 decode to a 0/1 uint8 bitmap (1 = black ink).
+
+    Runs the native kernel (``core/native``) when it is available and
+    ``decode_g4_py`` otherwise; both give the same pixels and raise the
+    same ``ValueError`` on a bad stream."""
+    kernels = native.load()
+    if kernels is None:
+        return decode_g4_py(data, width, height)
+    return kernels.decode_g4(data, width, height, *_int_tables())
+
+
+def decode_g4_py(data: bytes, width: int, height: int) -> np.ndarray:
+    """T.6 decode in Python: the reference for the native kernel.
 
     Table-driven and run-list based: mode and run codes resolve with one
     window peek + one array index each, every line lives as its

@@ -1,0 +1,172 @@
+"""Native page kernels: ``kernels.c`` built with the system C compiler.
+
+``load()`` returns the kernels, or ``None`` when they cannot be had, in
+which case callers run their Python reference implementations
+(``ccitt.decode_g4_py``, ``tiff_lzw.lzw_decode_py``,
+``segment.prefix_sum_2d_py``), which produce the same output.
+
+Nothing happens at import.  The first ``load()`` in a process compiles
+``kernels.c`` with ``cc`` into the user cache directory, under a name keyed
+by a hash of the source and flags, unless that file is already there.  The
+library is written to a temporary name and ``os.replace``d into place, so
+processes that build at the same time never see a partial file.  No
+compiler, a failed build or a failed load all mean ``None``.
+
+The library allocates nothing: every buffer is a numpy array allocated
+here, and its size and dtype are fixed here before a pointer is passed.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import functools
+import hashlib
+import os
+import platform
+import shutil
+from pathlib import Path
+
+import numpy as np
+
+_SOURCE = Path(__file__).with_name("kernels.c")
+_CFLAGS = ["-O2", "-std=c99", "-shared", "-fPIC"]
+_BUILD_TIMEOUT_S = 120
+
+_P = ctypes.c_void_p
+_I64 = ctypes.c_int64
+
+
+def _find_compiler() -> str | None:
+    return shutil.which("cc")
+
+
+def _cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root) / "tensorflow_ocr_ray"
+
+
+def _library_path() -> Path:
+    key = hashlib.sha256(_SOURCE.read_bytes())
+    key.update(" ".join(_CFLAGS + [platform.machine()]).encode())
+    return _cache_dir() / f"kernels-{key.hexdigest()[:16]}.so"
+
+
+def _build(path: Path) -> bool:
+    import subprocess  # only a building process pays for these imports
+    import tempfile
+
+    cc = _find_compiler()
+    if cc is None:
+        return False
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".so.tmp")
+    except OSError:
+        return False
+    os.close(fd)
+    try:
+        proc = subprocess.run(
+            [cc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+            capture_output=True, timeout=_BUILD_TIMEOUT_S,
+        )
+        if proc.returncode != 0:
+            return False
+        os.replace(tmp, path)
+        return True
+    except (OSError, subprocess.SubprocessError):
+        return False
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@functools.cache
+def load() -> "Kernels | None":
+    """The process's kernels, built on first use; ``None`` if unavailable."""
+    try:
+        path = _library_path()
+        if not path.exists() and not _build(path):
+            return None
+        return Kernels(ctypes.CDLL(str(path)))
+    except OSError:
+        return None
+
+
+class Kernels:
+    """Typed wrappers over the loaded library.  Each raises the same
+    ``ValueError`` its Python reference raises on the same input."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        lib.decode_g4.argtypes = [ctypes.c_char_p, _I64, _I64, _I64,
+                                  _P, _P, _P, _P, _P, _P, _P]
+        lib.decode_g4.restype = ctypes.c_int
+        lib.lzw_decode.argtypes = [ctypes.c_char_p, _I64, _I64,
+                                   ctypes.c_int, _P, _I64, _P]
+        lib.lzw_decode.restype = _I64
+        lib.prefix_sum_2d.argtypes = [_P, _I64, _I64, _P]
+        lib.prefix_sum_2d.restype = None
+        self._lib = lib
+
+    def decode_g4(self, data: bytes, width: int, height: int,
+                  white: np.ndarray, black: np.ndarray,
+                  mode: np.ndarray) -> np.ndarray:
+        """T.6 decode; the tables are ``ccitt``'s as int32 (N, 3)."""
+        for tbl, rows in ((white, 1 << 13), (black, 1 << 13), (mode, 1 << 7)):
+            if tbl.dtype != np.int32 or tbl.shape != (rows, 3) or \
+                    not tbl.flags.c_contiguous:
+                raise ValueError("G4 tables must be C-contiguous int32 (N, 3)")
+        data = bytes(data)
+        out = np.zeros((height, width), dtype=np.uint8)
+        chg = np.empty((2, 2 * max(width, 0) + 8), dtype=np.int64)
+        err = np.zeros(4, dtype=np.int64)
+        rc = self._lib.decode_g4(
+            data, len(data), width, height,
+            white.ctypes.data, black.ctypes.data, mode.ctypes.data,
+            chg[0].ctypes.data, chg[1].ctypes.data, out.ctypes.data,
+            err.ctypes.data,
+        )
+        if rc == 0:
+            return out
+        if rc == 1:
+            raise ValueError("truncated CCITT stream")
+        if rc == 2:
+            raise ValueError(f"bad CCITT mode code near bit {err[1]}")
+        if rc == 3:
+            raise ValueError(f"bad CCITT run code near bit {err[1]}")
+        raise ValueError(
+            f"corrupt CCITT stream: a0 failed to advance at row {err[1]}"
+            f" (a0={err[2]}, prev={err[3]})"
+        )
+
+    def lzw_decode(self, data: bytes, max_out: int | None,
+                   early: int) -> bytes:
+        """TIFF/PDF LZW decode.  Bounded: one pass into a buffer that
+        always fits.  Unbounded: grow and retry until it fits."""
+        data = bytes(data)
+        if max_out is not None:
+            max_out = max(max_out, 0)
+            cap = max_out + 4096  # one table entry past max_out at most
+        else:
+            cap = 8 * len(data) + 4096
+        err = np.zeros(1, dtype=np.int64)
+        while True:
+            out = np.empty(cap, dtype=np.uint8)
+            n = self._lib.lzw_decode(
+                data, len(data), -1 if max_out is None else max_out,
+                int(early), out.ctypes.data, cap, err.ctypes.data,
+            )
+            if n >= 0:
+                return out[:n].tobytes()
+            if n == -1:
+                raise ValueError(f"bad LZW code {err[0]}")
+            cap *= 2
+
+    def prefix_sum_2d(self, image: np.ndarray) -> np.ndarray:
+        """(h+1, w+1) int32 counts of non-zero pixels of a 2-D image."""
+        h, w = image.shape
+        if image.dtype != np.uint8:
+            image = (image != 0).view(np.uint8)
+        image = np.ascontiguousarray(image)
+        out = np.empty((h + 1, w + 1), dtype=np.int32)
+        self._lib.prefix_sum_2d(image.ctypes.data, h, w, out.ctypes.data)
+        return out

@@ -22,6 +22,8 @@ import struct
 
 import numpy as np
 
+from tensorflow_ocr_ray.core.gif import MAX_PIXELS
+
 # byte → bit-reversed byte, for TIFF FillOrder=2 (LSB-first) strips
 _BITREV = np.packbits(
     np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)[:, ::-1], axis=1
@@ -114,6 +116,9 @@ def _decode_ifd(payload: bytes, tags: dict[int, list[int]]) -> tuple[np.ndarray,
     offsets = tags[273]
     rows_per_strip = tags.get(278, [height])[0]
     counts = tags.get(279, [len(payload) - offsets[0]])
+    if width * height > MAX_PIXELS:
+        # the decoders allocate from these header fields
+        raise ValueError(f"TIFF page {width}x{height} exceeds pixel cap")
     if bits not in (1, 8):
         raise ValueError(f"unsupported TIFF BitsPerSample {bits}")
     if compression not in (1, 2, 3, 4, 5, 7, 8, 32773, 32946):

@@ -33,6 +33,7 @@ from __future__ import annotations
 import numpy as np
 
 from tensorflow_ocr_ray.config import OcrConfig
+from tensorflow_ocr_ray.core import native
 from tensorflow_ocr_ray.core.features import fill_tuple, refill_tuple
 from tensorflow_ocr_ray.core.knn import BIGDIST, FontIndex
 
@@ -107,6 +108,22 @@ def copy_path(path: np.ndarray | None, height: int) -> np.ndarray | None:
     return np.array(path[:height], dtype=np.int64)
 
 
+def prefix_sum_2d_py(image: np.ndarray) -> np.ndarray:
+    """(h+1, w+1) table of non-zero pixel counts over ``image[:y, :x]``;
+    the reference for the native ``prefix_sum_2d`` kernel."""
+    h, w = image.shape
+    # int32: pages are far below 2^31 pixels; halves the memory
+    # traffic of the hottest array (measured contention at 32-way)
+    ps = np.zeros((h + 1, w + 1), dtype=np.int32)
+    # bool -> int32 assign, then two IN-PLACE accumulates: avoids
+    # the mixed-dtype cumsum slow path and its (h, w) temporary
+    # (zero padding row/col stays zero under both accumulates)
+    ps[1:, 1:] = image != 0
+    np.cumsum(ps, axis=1, out=ps)
+    np.cumsum(ps, axis=0, out=ps)
+    return ps
+
+
 class PageSegmenter:
     """Segments one page; mirrors the per-page portion of main.c's loop."""
 
@@ -133,16 +150,9 @@ class PageSegmenter:
     # ---------------- pixel predicates (vectorized) ----------------------
     def _prefix(self) -> np.ndarray:
         if self._ps is None:
-            # int32: pages are far below 2^31 pixels; halves the memory
-            # traffic of the hottest array (measured contention at 32-way)
-            ps = np.zeros((self.h + 1, self.w + 1), dtype=np.int32)
-            # bool -> int32 assign, then two IN-PLACE accumulates: avoids
-            # the mixed-dtype cumsum slow path and its (h, w) temporary
-            # (zero padding row/col stays zero under both accumulates)
-            ps[1:, 1:] = self.image != 0
-            np.cumsum(ps, axis=1, out=ps)
-            np.cumsum(ps, axis=0, out=ps)
-            self._ps = ps
+            kernels = native.load()
+            self._ps = (prefix_sum_2d_py(self.image) if kernels is None
+                        else kernels.prefix_sum_2d(self.image))
         return self._ps
 
     def _count(self, r0: int, r1: int, c0: int, c1: int) -> int:

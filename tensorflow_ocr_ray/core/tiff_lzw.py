@@ -1,4 +1,7 @@
-"""TIFF-variant LZW codec (TIFF 6.0 spec §13) — pure Python.
+"""TIFF-variant LZW codec (TIFF 6.0 spec §13).
+
+The encoder and ``lzw_decode_py`` are pure Python; ``lzw_decode`` uses
+the native kernel in ``core/native`` when it can be built.
 
 MSB-first bit packing, initial 9-bit codes, Clear=256, EOI=257, first
 dictionary code 258, and the TIFF "early change": the code width bumps
@@ -7,6 +10,8 @@ the GIF convention).
 """
 
 from __future__ import annotations
+
+from tensorflow_ocr_ray.core import native
 
 CLEAR = 256
 EOI = 257
@@ -71,8 +76,21 @@ def lzw_encode(data: bytes) -> bytes:
 
 def lzw_decode(data: bytes, max_out: int | None = None,
                early: int = 1) -> bytes:
-    """Inlined hot loop: bulk 3-byte bit refills, table length tracked in
-    an int (no len() per code), next width-change threshold precomputed.
+    """Decode up to the entry that reaches ``max_out`` bytes (all of the
+    stream when ``None``).  Runs the native kernel (``core/native``) when
+    it is available and ``lzw_decode_py`` otherwise; both give the same
+    bytes and raise the same ``ValueError`` on a bad code."""
+    kernels = native.load()
+    if kernels is None:
+        return lzw_decode_py(data, max_out, early)
+    return kernels.lzw_decode(data, max_out, early)
+
+
+def lzw_decode_py(data: bytes, max_out: int | None = None,
+                  early: int = 1) -> bytes:
+    """The reference for the native kernel.  Inlined hot loop: bulk
+    3-byte bit refills, table length tracked in an int (no len() per
+    code), next width-change threshold precomputed.
 
     ``early=1`` (TIFF and the PDF default) bumps the code width one
     table entry before the boundary; ``early=0`` (PDF
@@ -120,6 +138,8 @@ def lzw_decode(data: bytes, max_out: int | None = None,
             prev = None
             continue
         if prev is None:
+            if code >= nt:  # no entry to extend after start or Clear
+                raise ValueError(f"bad LZW code {code}")
             entry = table[code]
         elif code < nt:
             entry = table[code]

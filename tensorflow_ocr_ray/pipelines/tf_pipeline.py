@@ -213,6 +213,7 @@ def ocr_with_scorer(
         concurrency=4,
         batch_size=8,
         scorer_spec={"kind": kind, "state_ref": state_ref},
+        num_blocks=8,
         **remote,
     )
     return out.map_batches(explode_documents, batch_format="pyarrow")

@@ -83,6 +83,13 @@ def test_lzw_max_out_truncates():
     assert lzw_decode(enc, max_out=5)[:5] == data[:5]
 
 
+def test_lzw_first_code_past_literals_is_value_error():
+    import pytest
+
+    with pytest.raises(ValueError, match="bad LZW code 300"):
+        lzw_decode(bytes([0x96, 0x00]), 10)  # 9-bit code 300, no prev
+
+
 def test_g4_corrupt_stream_raises_not_hangs():
     # a stream of pass-mode codes (0001) never advances a0 once the
     # reference line is all-white (b2 = width on first step -> ok), so

@@ -99,6 +99,24 @@ def test_tiff_unsupported_compression_raises():
         decode_tiff(bytes(payload))
 
 
+def test_tiff_pixel_cap_rejects_before_allocation():
+    """An IFD claiming 2^20 x 2^20 pixels is refused from its header."""
+    import struct
+
+    import pytest
+
+    from tensorflow_ocr_ray.core.raster import decode_tiff
+
+    tags = [(256, 4, 1 << 20), (257, 4, 1 << 20), (258, 3, 1), (259, 3, 4),
+            (273, 4, 8), (279, 4, 4)]
+    ifd = struct.pack("<H", len(tags)) + b"".join(
+        struct.pack("<HHII", tag, typ, 1, value) for tag, typ, value in tags
+    ) + struct.pack("<I", 0)
+    payload = struct.pack("<4sI", b"II*\x00", 12) + b"\x00" * 4 + ifd
+    with pytest.raises(ValueError, match="pixel cap"):
+        decode_tiff(payload)
+
+
 def test_tiff_g4_roundtrip_matches_uncompressed_twin():
     """A G4-encoded fixture page decodes byte-identical to its
     uncompressed twin (VERDICT r1 missing #1; ref main/readPicture.c:36-117
