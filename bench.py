@@ -202,14 +202,18 @@ def bench_extract(
 def bench_queries(sf_dir: str) -> dict[str, float]:
     import __ray_entry__ as entry
 
+    from tensorflow_ocr_ray import cache
+
     qs = entry.queries()
     out: dict[str, float] = {}
     for name in QUERY_NAMES:
         # best-of-2, same rationale as bench_ocr: ambient host load
         # only ever SLOWS a run (r4's driver bench read 1.4-2.7x high
-        # on unchanged code), so the min is the noise-rejected reading
+        # on unchanged code), so the min is the noise-rejected reading;
+        # the driver memo is cleared first so no rep is a memo hit
         best = None
         for _ in range(2):
+            cache.clear()
             t0 = time.time()
             res = qs[name](sf_dir)
             if hasattr(res, "to_pandas"):
@@ -411,10 +415,13 @@ def run_query_once(sf_dir: str, num_cpus: int, name: str,
     ray = _init_ray(num_cpus)
     import __ray_entry__ as entry
 
+    from tensorflow_ocr_ray import cache
+
     fn = entry.queries()[name]
-    fn(sf_dir)  # warmup: read cache, actor pools, memoized state
+    fn(sf_dir)  # warmup: workers and the on-disk indexes
     best = None
     for _ in range(reps):
+        cache.clear()  # time the query, not a driver memo hit
         t0 = time.time()
         res = fn(sf_dir)
         if hasattr(res, "to_pandas"):

@@ -189,8 +189,6 @@ class _FastBits:
         while self.nbits < width:
             if self.ipos < self.nbytes:
                 self.buf = (self.buf << 8) | self.data[self.ipos]
-            elif self.ipos > self.nbytes + 8:
-                raise ValueError("truncated CCITT stream")
             else:
                 self.buf <<= 8  # zero-fill past the end (final EOFB pad)
             self.ipos += 1
@@ -306,13 +304,24 @@ def encode_g4(image: np.ndarray) -> bytes:
     return writer.tobytes()
 
 
+def _code_error(what: str, bit: int, window: int,
+                nbytes: int) -> ValueError:
+    """The error for an invalid ``window``-bit code window at ``bit``.
+    Past the data the reader zero-fills, and no code is all zeros, so a
+    cut-off stream always ends on an invalid window that reaches past
+    the last data byte: that case is reported as truncation."""
+    if bit + window > 8 * nbytes:
+        return ValueError("truncated CCITT stream")
+    return ValueError(f"bad {what} near bit {bit}")
+
+
 def _read_run(r: "_FastBits", table) -> int:
     """One full run (makeup chain + terminating code), table-driven."""
     total = 0
     while True:
         entry = table[r.peek(_RUN_W)]
         if entry is None:
-            raise ValueError(f"bad CCITT run code near bit {r.pos}")
+            raise _code_error("CCITT run code", r.pos, _RUN_W, r.nbytes)
         run, ln, is_term = entry
         r.consume(ln)
         total += run
@@ -384,17 +393,14 @@ def decode_g4_py(data: bytes, width: int, height: int) -> np.ndarray:
                     while nbits < 13:
                         if ipos < nbytes:
                             buf = (buf << 8) | data[ipos]
-                        elif ipos > nbytes + 8:
-                            raise ValueError("truncated CCITT stream")
                         else:
                             buf <<= 8  # zero-fill past end (EOFB pad)
                         ipos += 1
                         nbits += 8
             mode = mode_tbl[buf >> (nbits - 7)]
             if mode is None:
-                raise ValueError(
-                    f"bad CCITT mode code near bit {ipos * 8 - nbits}"
-                )
+                raise _code_error("CCITT mode code", ipos * 8 - nbits,
+                                  _MODE_W, nbytes)
             op, arg, ln = mode
             nbits -= ln
             buf &= (1 << nbits) - 1
@@ -434,20 +440,15 @@ def decode_g4_py(data: bytes, width: int, height: int) -> np.ndarray:
                                 while nbits < 13:
                                     if ipos < nbytes:
                                         buf = (buf << 8) | data[ipos]
-                                    elif ipos > nbytes + 8:
-                                        raise ValueError(
-                                            "truncated CCITT stream"
-                                        )
                                     else:
                                         buf <<= 8
                                     ipos += 1
                                     nbits += 8
                         entry = tbl[buf >> (nbits - 13)]
                         if entry is None:
-                            raise ValueError(
-                                f"bad CCITT run code near bit "
-                                f"{ipos * 8 - nbits}"
-                            )
+                            raise _code_error(
+                                "CCITT run code", ipos * 8 - nbits,
+                                _RUN_W, nbytes)
                         run, rln, is_term = entry
                         nbits -= rln
                         buf &= (1 << nbits) - 1
@@ -505,21 +506,19 @@ def _skip_eol(r: "_FastBits", two_d: bool):
     after an EOL when ``two_d`` (1 = next row 1-D, 0 = 2-D).  No run or
     mode code starts with 11 zero bits, so peeking 12 disambiguates
     EOL/fill from data unambiguously (T.4 §4.1.2)."""
-    try:
-        while True:
-            w = r.peek(12)
-            if w == 1:  # 000000000001
-                r.consume(12)
-                tag = None
-                if two_d:
-                    tag = r.peek(1)
-                    r.consume(1)
-                return True, tag
-            if w == 0:  # >= 12 zeros: fill before the EOL
+    while True:
+        w = r.peek(12)
+        if w == 1:  # 000000000001
+            r.consume(12)
+            tag = None
+            if two_d:
+                tag = r.peek(1)
                 r.consume(1)
-                continue
-            return False, None
-    except ValueError:  # truncated tail: nothing left to frame
+            return True, tag
+        if w == 0 and r.pos + 12 < 8 * r.nbytes:
+            r.consume(1)  # >= 12 zeros: fill before the EOL
+            continue
+        # data, or zeros to the end of the stream: no EOL to skip
         return False, None
 
 
@@ -556,7 +555,7 @@ def _decode_2d_row(r: "_FastBits", width: int,
         prev_a0 = a0
         entry = _MODE_TABLE_INT[r.peek(_MODE_W)]
         if entry is None:
-            raise ValueError(f"bad T.4 2-D mode code near bit {r.pos}")
+            raise _code_error("T.4 2-D mode code", r.pos, _MODE_W, r.nbytes)
         op, arg, ln = entry
         r.consume(ln)
         while jb < nref and ref_chg[jb] <= a0:

@@ -29,30 +29,36 @@ typedef struct {
 } bits_t;
 
 /* Refill to at least 13 bits: three bytes at once while they last, then
- * bytewise, zero-filling at most 8 bytes past the end (the EOFB pad). */
-static int g4_refill(bits_t *r)
+ * bytewise, zero-filling past the end (the EOFB pad).  No code is all
+ * zeros, so the decode loop stops within two bytes of zero fill. */
+static void g4_refill(bits_t *r)
 {
     if (r->nbits >= 13)
-        return G4_OK;
+        return;
     if (r->ipos + 3 <= r->nbytes) {
         const uint8_t *p = r->data + r->ipos;
         r->buf = (r->buf << 24) | ((uint64_t)p[0] << 16)
                  | ((uint64_t)p[1] << 8) | p[2];
         r->ipos += 3;
         r->nbits += 24;
-        return G4_OK;
+        return;
     }
     while (r->nbits < 13) {
         if (r->ipos < r->nbytes)
             r->buf = (r->buf << 8) | r->data[r->ipos];
-        else if (r->ipos > r->nbytes + 8)
-            return G4_TRUNCATED;
         else
             r->buf <<= 8;
         r->ipos++;
         r->nbits += 8;
     }
-    return G4_OK;
+}
+
+/* Status for an invalid code window of `window` bits at the cursor: a
+ * window that reaches past the last data byte means a cut-off stream. */
+static int g4_bad_code(const bits_t *r, int window, int status, int64_t *err)
+{
+    err[1] = r->ipos * 8 - r->nbits;
+    return err[1] + window > r->nbytes * 8 ? G4_TRUNCATED : status;
 }
 
 static inline void g4_consume(bits_t *r, int n)
@@ -76,13 +82,10 @@ int decode_g4(const uint8_t *data, int64_t nbytes, int64_t width,
         int color = 0;
         while (a0 < width) {
             int64_t prev_a0 = a0;
-            if (g4_refill(&r))
-                return G4_TRUNCATED;
+            g4_refill(&r);
             const int32_t *m = mode + 3 * (r.buf >> (r.nbits - 7));
-            if (m[2] == 0) {
-                err[1] = r.ipos * 8 - r.nbits;
-                return G4_BAD_MODE;
-            }
+            if (m[2] == 0)
+                return g4_bad_code(&r, 7, G4_BAD_MODE, err);
             g4_consume(&r, m[2]);
             /* b1: first ref change > a0 whose index parity is color */
             while (jb < nref && ref[jb] <= a0)
@@ -101,13 +104,10 @@ int decode_g4(const uint8_t *data, int64_t nbytes, int64_t width,
                 const int32_t *tbl = color ? black : white;
                 for (int half = 0; half < 2; half++) {
                     for (;;) {
-                        if (g4_refill(&r))
-                            return G4_TRUNCATED;
+                        g4_refill(&r);
                         const int32_t *e = tbl + 3 * (r.buf >> (r.nbits - 13));
-                        if (e[1] == 0) {
-                            err[1] = r.ipos * 8 - r.nbits;
-                            return G4_BAD_RUN;
-                        }
+                        if (e[1] == 0)
+                            return g4_bad_code(&r, 13, G4_BAD_RUN, err);
                         g4_consume(&r, e[1]);
                         pos += e[0];
                         if (e[2])

@@ -357,8 +357,7 @@ TFIDF_TOPN = 3
 _N_SHARDS = 64
 
 
-def tfidf_top_terms(sf_dir: str, topn: int = TFIDF_TOPN,
-                    exchange: str = "eager") -> "rd.Dataset":
+def tfidf_top_terms(sf_dir: str, topn: int = TFIDF_TOPN) -> "rd.Dataset":
     """Per-document top-``topn`` terms by tf-idf, scored division-exact
     (score = cnt * N / df — integer products under 2^53, one IEEE
     division; no log, so the SQL oracle is bit-identical).
@@ -407,22 +406,9 @@ def tfidf_top_terms(sf_dir: str, topn: int = TFIDF_TOPN,
     # wall at BOTH scaling levels on a 320k-doc probe (efficiency 0.37)
     # while every map stage scaled — rows only need ROUTING to their
     # precomputed crc32 shard (stages/exchange.py)
-    # exchange choice, MEASURED at the 320k-doc probe (8 CPUs, reps=2):
-    # eager 11.6 s vs streaming 28.9 s (after the streaming route was
-    # itself made 2.4x faster — one sort+slice per batch instead of 64
-    # filters).  The eager split/merge parallelizes across blocks and
-    # shards with zero-copy store reads; the ack-gated collector path
-    # pays per-batch barriers.  Eager's high-water (input in store +
-    # spill) equals Ray's own sort-shuffle map output, so it stays the
-    # DEFAULT; pass exchange="streaming" when the token stream exceeds
-    # store+spill (the true bounded-memory regime).
-    from tensorflow_ocr_ray.stages.exchange import (
-        hash_exchange,
-        streaming_exchange,
-    )
+    from tensorflow_ocr_ray.stages.exchange import hash_exchange
 
-    exch = streaming_exchange if exchange == "streaming" else hash_exchange
-    joined = exch(
+    joined = hash_exchange(
         _docs(sf_dir, ["doc_id", "text"])
         .map_batches(counts, batch_format="pandas", batch_size=512),
         "tshard", _N_SHARDS, score_shard,
@@ -442,7 +428,7 @@ def tfidf_top_terms(sf_dir: str, topn: int = TFIDF_TOPN,
             {"doc_id": "int64", "rank": "int64"}
         )
 
-    return exch(
+    return hash_exchange(
         joined.map_batches(
             lambda df: df.assign(dshard=(df["doc_id"] % _N_SHARDS)),
             batch_format="pandas",
@@ -515,8 +501,7 @@ def source_gate(
 DUP_SPAN_K = 50  # duplicated-substring length (chars, normalized text)
 
 
-def dup_span_coverage(sf_dir: str, k: int = DUP_SPAN_K,
-                      exchange: str = "eager") -> "rd.Dataset":
+def dup_span_coverage(sf_dir: str, k: int = DUP_SPAN_K) -> "rd.Dataset":
     """Exact substring duplication (the Lee-et-al "deduplicating
     training data" signal): for every position whose char ``k``-gram
     occurs >= 2 times in the WHOLE corpus, mark the span [i, i+k); per
@@ -645,21 +630,12 @@ def dup_span_coverage(sf_dir: str, k: int = DUP_SPAN_K,
     # both wide steps are routed hash exchanges, not groupby-sorts —
     # the Sort operator dominated wall at both scaling levels on the
     # 320k-doc probe (stages/exchange.py for the measurements)
-    from tensorflow_ocr_ray.stages.exchange import (
-        hash_exchange,
-        streaming_exchange,
-    )
+    from tensorflow_ocr_ray.stages.exchange import hash_exchange
 
     # hop 1 is the ~40x-amplified every-position gram stream — the
-    # highest-volume exchange in the repo.  MEASURED at the worst-case
-    # 320k-doc probe (every gram duplicated, 52M routed rows, 8 CPUs):
-    # eager ~30 s vs streaming 197 s — the ack-gated collector path is
-    # not competitive at volume, so eager stays the default and
-    # exchange="streaming" is the explicit bounded-memory escape hatch
-    # for gram streams beyond store+spill.  Hop 2 ships only surviving
-    # dup rows + one sentinel per doc (sharply shrunk).
-    exch = streaming_exchange if exchange == "streaming" else hash_exchange
-    dup_pos = exch(
+    # highest-volume exchange in the repo; hop 2 ships only surviving
+    # dup rows + one sentinel per doc (sharply shrunk)
+    dup_pos = hash_exchange(
         _docs(sf_dir, ["doc_id", "text"])
         .map_batches(grams, batch_format="pandas", batch_size=128),
         "gshard", n_shards, dup_rows,

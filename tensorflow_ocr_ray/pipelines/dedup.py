@@ -17,6 +17,8 @@ All hashing is deterministic (crc/md5); no salted ``hash()`` anywhere.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
@@ -25,6 +27,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Min
 
+from tensorflow_ocr_ray import cache
 from tensorflow_ocr_ray.functions.textstats import (
     MinHasher,
     char_set_jaccard,
@@ -239,17 +242,6 @@ def _bloom_contains(bm: np.ndarray, ids: np.ndarray) -> np.ndarray:
     return mask
 
 
-# deterministic per-(inputs, params) results, recomputed by three
-# queries() entries (verified_pairs, minhash_dedup, dedup_keep_list) in
-# one driver pass — memoized like the TF scorer family so the suite pays
-# the LSH+verify cost once.  Values are pair-count-bounded frames.
-# bounded-memory escape hatch for the minhash verify exchanges (see
-# _verified_pairs_ds): False = eager routed exchange (faster, measured)
-_STREAM_VERIFY_EXCHANGE = False
-_VERIFIED_PAIRS_MEMO: dict[tuple, "rd.MaterializedDataset"] = {}
-_DEDUP_LABELS_MEMO: dict[tuple, pd.DataFrame] = {}
-
-
 def _verified_pairs_ds(
     sf_dir: str,
     num_perm: int = 64,
@@ -275,14 +267,20 @@ def _verified_pairs_ds(
 
     Returns the MATERIALIZED verified-edge Dataset (object-store
     resident and spillable, bounded by dup-edge count — never a driver
-    structure), memoized per parameter set so the pair query, the
-    cluster query and dedup_keep_list share one expensive verify pass.
+    structure), memoized per parameter set and documents fingerprint
+    (``cache.memo``) so the pair query, the cluster query and
+    dedup_keep_list share one expensive verify pass.
     """
-    import ray
+    return cache.memo(
+        "verified_pairs",
+        (os.path.abspath(sf_dir), num_perm, bands, verify_threshold),
+        cache.table_fingerprint(sf_dir, "documents"),
+        lambda: _verify_pairs(sf_dir, num_perm, bands, verify_threshold))
 
-    memo_key = (sf_dir, num_perm, bands, verify_threshold)
-    if memo_key in _VERIFIED_PAIRS_MEMO:
-        return _VERIFIED_PAIRS_MEMO[memo_key]
+
+def _verify_pairs(sf_dir: str, num_perm: int, bands: int,
+                  verify_threshold: float) -> "rd.MaterializedDataset":
+    import ray
 
     ds = _docs(sf_dir, ["doc_id", "text"])
     cand = _minhash_candidates(ds, num_perm, bands)
@@ -331,7 +329,6 @@ def _verified_pairs_ds(
                  "sim": pd.Series([], dtype="float64")}
             )
         ).materialize()
-        _VERIFIED_PAIRS_MEMO[memo_key] = empty
         return empty
     ids_ref = ray.put(bloom)
 
@@ -395,19 +392,11 @@ def _verified_pairs_ds(
         return out
 
     # the widest hop of the verify chain (every surviving doc's packed
-    # shingle bytes travel).  Exchange choice measured at the 320k-doc
-    # probe (see tfidf_top_terms / dup_span_coverage): the eager routed
-    # exchange is 2.4-7x faster than the ack-gated streaming collector
-    # at volume, and its high-water (input in store+spill) matches
-    # Ray's own sort shuffle — so eager is the default; a caller whose
-    # shingle stream exceeds store+spill flips _STREAM_VERIFY_EXCHANGE.
-    from tensorflow_ocr_ray.stages.exchange import (
-        hash_exchange as _hx,
-        streaming_exchange as _sx,
-    )
+    # shingle bytes travel); its high-water (input in store+spill)
+    # matches Ray's own sort shuffle
+    from tensorflow_ocr_ray.stages.exchange import hash_exchange
 
-    exch = _sx if _STREAM_VERIFY_EXCHANGE else _hx
-    attached = exch(
+    attached = hash_exchange(
         half.union(shingles), "join_shard", n_join_shards, attach_shard
     )
 
@@ -440,11 +429,9 @@ def _verified_pairs_ds(
         ).astype({"doc_a": "int64", "doc_b": "int64", "sim": "float64"})
 
     # same: the pair halves still carry the shingle bytes
-    verified = exch(
+    return hash_exchange(
         attached, "pair_shard", n_join_shards, verify_shard
     ).materialize()
-    _VERIFIED_PAIRS_MEMO[memo_key] = verified
-    return verified
 
 
 def minhash_verified_pairs(
@@ -483,26 +470,25 @@ def minhash_dedup(
     query and dedup_keep_list share one label-propagation run."""
     from tensorflow_ocr_ray.stages.cc import connected_components
 
-    memo_key = (sf_dir, num_perm, bands, verify_threshold)
-    if memo_key in _DEDUP_LABELS_MEMO:
-        return _DEDUP_LABELS_MEMO[memo_key].copy()
-
-    edges = _verified_pairs_ds(sf_dir, num_perm, bands, verify_threshold)
-    labels = connected_components(edges, src="doc_a", dst="doc_b")
-    df = labels.to_pandas()
-    if df.empty:
-        df = pd.DataFrame(columns=["doc_id", "cluster_rep"]).astype(
-            "int64"
-        )
-    else:
-        df = (
+    def build() -> pd.DataFrame:
+        edges = _verified_pairs_ds(sf_dir, num_perm, bands,
+                                   verify_threshold)
+        df = connected_components(edges, src="doc_a",
+                                  dst="doc_b").to_pandas()
+        if df.empty:
+            return pd.DataFrame(columns=["doc_id", "cluster_rep"]).astype(
+                "int64")
+        return (
             df.rename(columns={"node": "doc_id", "label": "cluster_rep"})
             .sort_values("doc_id")
             .reset_index(drop=True)
             .astype("int64")
         )
-    _DEDUP_LABELS_MEMO[memo_key] = df
-    return df.copy()
+
+    return cache.memo(
+        "dedup_labels",
+        (os.path.abspath(sf_dir), num_perm, bands, verify_threshold),
+        cache.table_fingerprint(sf_dir, "documents"), build).copy()
 
 
 def simhash_fingerprints(sf_dir: str) -> "rd.Dataset":
@@ -769,22 +755,17 @@ def winnow_dup_pairs(
                          ).select_columns(["doc_a", "doc_b", "shared"])
 
 
-# pair-count-bounded frames, memoized per (inputs, params) like the
-# MinHash family so winnow_dup_pairs + winnow_dup_clusters in one driver
-# pass pay the fingerprint+join cost once; the memo holds a MATERIALIZED
-# Dataset (object store, dup-edge-bounded), never a driver frame
-_WINNOW_PAIRS_MEMO: dict[tuple, "rd.MaterializedDataset"] = {}
-
-
 def _winnow_pairs_ds(
     sf_dir: str, min_shared: int, n_shards: int
 ) -> "rd.Dataset":
-    key = (sf_dir, min_shared, n_shards)
-    if key not in _WINNOW_PAIRS_MEMO:
-        _WINNOW_PAIRS_MEMO[key] = winnow_dup_pairs(
-            sf_dir, min_shared, n_shards
-        ).materialize()
-    return _WINNOW_PAIRS_MEMO[key]
+    """winnow_dup_pairs MATERIALIZED (object store, dup-edge-bounded,
+    never a driver frame) and memoized like the MinHash family, so
+    winnow_dup_pairs + winnow_dup_clusters in one driver pass pay the
+    fingerprint+join cost once."""
+    return cache.memo(
+        "winnow_pairs", (os.path.abspath(sf_dir), min_shared, n_shards),
+        cache.table_fingerprint(sf_dir, "documents"),
+        lambda: winnow_dup_pairs(sf_dir, min_shared, n_shards).materialize())
 
 
 def _winnow_pairs_frame(

@@ -23,6 +23,7 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
+from tensorflow_ocr_ray import cache
 from tensorflow_ocr_ray.stages.exchange import (
     adaptive_shards,
     hash_exchange,
@@ -2771,56 +2772,34 @@ def daily_ewma(sf_dir: str, num: int = 1, den: int = 4) -> pd.DataFrame:
     )
 
 
-def _orders_fingerprint(sf_dir: str) -> str:
-    import hashlib
-    import os
-
-    st = os.stat(f"{sf_dir}/orders.parquet")
-    return hashlib.md5(
-        f"{os.path.abspath(sf_dir)}:{st.st_size}:{st.st_mtime_ns}".encode()
-    ).hexdigest()[:12]
-
-
 def _ensure_zorder_layout(sf_dir: str) -> str:
     """Build-once cache of the orders table REWRITTEN in Z-order: hive
     partitions ``zbucket=K`` for the top 4 Morton bits of
     (o_custkey % 256, order-day % 256) — the physical layout
-    zorder_layout_stats diagnoses.  Same build-into-scratch-then-rename
-    race contract as similarity._ensure_index."""
-    import os
-    import shutil
+    zorder_layout_stats diagnoses (``cache.build_once``)."""
 
-    root = "/tmp/tensorflow_ocr_ray_indexes"
-    d = os.path.join(root, f"zorder-{_orders_fingerprint(sf_dir)}")
-    if not os.path.exists(os.path.join(d, "_SUCCESS")):
-        tmp = f"{d}.build-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(root, exist_ok=True)
+    def add_key(df: pd.DataFrame) -> pd.DataFrame:
+        a = df["o_custkey"].to_numpy(np.int64) % 256
+        b = (df["o_orderdate"].to_numpy().astype("datetime64[D]")
+             .astype("int64")) % 256
+        code = np.zeros(len(a), np.int64)
+        for i in range(8):
+            code |= ((a >> i) & 1) << (2 * i)
+            code |= ((b >> i) & 1) << (2 * i + 1)
+        return pd.DataFrame(
+            {"o_orderkey": df["o_orderkey"].astype("int64"),
+             "cust_mod": a, "day_mod": b, "zbucket": code >> 12}
+        )
 
-        def add_key(df: pd.DataFrame) -> pd.DataFrame:
-            a = df["o_custkey"].to_numpy(np.int64) % 256
-            b = (df["o_orderdate"].to_numpy().astype("datetime64[D]")
-                 .astype("int64")) % 256
-            code = np.zeros(len(a), np.int64)
-            for i in range(8):
-                code |= ((a >> i) & 1) << (2 * i)
-                code |= ((b >> i) & 1) << (2 * i + 1)
-            return pd.DataFrame(
-                {"o_orderkey": df["o_orderkey"].astype("int64"),
-                 "cust_mod": a, "day_mod": b, "zbucket": code >> 12}
-            )
-
+    def build(tmp: str) -> None:
         _pq(sf_dir, "orders",
             ["o_orderkey", "o_custkey", "o_orderdate"]).map_batches(
             add_key, batch_format="pandas", batch_size=65536
         ).write_parquet(tmp, partition_cols=["zbucket"])
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, d)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-    return d
+
+    return cache.build_once(
+        cache.INDEX_ROOT,
+        f"zorder-{cache.table_fingerprint(sf_dir, 'orders')}", build)
 
 
 def zorder_pruned_scan(
@@ -4119,15 +4098,13 @@ def orders_sorted_export(sf_dir: str, n_parts: int = 16) -> pd.DataFrame:
     part = #boundaries strictly below cents (equal cents co-part, so
     parts never interleave); ONE hash exchange; each part task sorts
     its slice by (cents, o_orderkey) and writes its own
-    ``part-K.parquet`` — a failed run leaves no ``_SUCCESS`` and
-    rebuilds into a fresh scratch (the zorder build-once
-    scratch+rename contract); a repeat call RESUMES by reading the
+    ``part-K.parquet`` — a failed run publishes nothing and the next
+    call rebuilds (``cache.build_once``); a repeat call RESUMES by reading the
     stored manifest, bit-identical.  The driver holds boundaries +
     the bounded manifest, never rows.  Oracle: the same quantile_disc
     boundaries and strictly-below partitioning re-derived in SQL,
     hash-matched; global order is asserted (min_k > max_{k-1})."""
     import os
-    import shutil
 
     import pyarrow as pa
     import pyarrow.parquet as papq
@@ -4135,16 +4112,7 @@ def orders_sorted_export(sf_dir: str, n_parts: int = 16) -> pd.DataFrame:
     from tensorflow_ocr_ray.stages.exchange import hash_exchange
     from tensorflow_ocr_ray.stages.selection import exact_group_quantiles
 
-    root = "/tmp/tensorflow_ocr_ray_exports"
-    d = os.path.join(
-        root, f"sorted-{_orders_fingerprint(sf_dir)}-{n_parts}")
-    manifest_path = os.path.join(d, "manifest.parquet")
-
-    if not os.path.exists(os.path.join(d, "_SUCCESS")):
-        tmp = f"{d}.build-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(tmp, exist_ok=True)
-
+    def build(tmp: str) -> None:
         def to_cents(df: pd.DataFrame) -> pd.DataFrame:
             return pd.DataFrame(
                 {"o_orderkey": df["o_orderkey"].astype("int64"),
@@ -4204,14 +4172,10 @@ def orders_sorted_export(sf_dir: str, n_parts: int = 16) -> pd.DataFrame:
                 > manifest["max_cents"].to_numpy()[:-1]).all()
         papq.write_table(pa.Table.from_pandas(manifest),
                          os.path.join(tmp, "manifest.parquet"))
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, d)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
 
-    return (papq.read_table(manifest_path).to_pandas()
+    fp = cache.table_fingerprint(sf_dir, "orders")
+    d = cache.build_once(cache.EXPORT_ROOT, f"sorted-{fp}-{n_parts}", build)
+    return (papq.read_table(os.path.join(d, "manifest.parquet")).to_pandas()
             .astype("int64").sort_values("part_id")
             .reset_index(drop=True))
 
@@ -4333,17 +4297,8 @@ def schema_evolution_read(sf_dir: str) -> pd.DataFrame:
     arithmetically from the original table, hash-matched — proving
     the unified read loses nothing."""
     import os
-    import shutil
 
-    root = "/tmp/tensorflow_ocr_ray_exports"
-    d = os.path.join(
-        root, f"schemaevo-{_orders_fingerprint(sf_dir)}")
-    if not os.path.exists(os.path.join(d, "_SUCCESS")):
-        tmp = f"{d}.build-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(os.path.join(tmp, "v1"), exist_ok=True)
-        os.makedirs(os.path.join(tmp, "v2"), exist_ok=True)
-
+    def build(tmp: str) -> None:
         def split(df: pd.DataFrame) -> pd.DataFrame:
             k = df["o_orderkey"].to_numpy(np.int64)
             c = np.round(df["o_totalprice"].to_numpy() * 100.0).astype(
@@ -4364,12 +4319,10 @@ def schema_evolution_read(sf_dir: str) -> pd.DataFrame:
         ).select_columns(
             ["o_orderkey", "cents", "channel"]).write_parquet(
             os.path.join(tmp, "v2"))
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, d)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
+
+    d = cache.build_once(
+        cache.EXPORT_ROOT,
+        f"schemaevo-{cache.table_fingerprint(sf_dir, 'orders')}", build)
 
     unified = ["o_orderkey", "cents", "channel"]
     v1 = rd.read_parquet(os.path.join(d, "v1")).map_batches(

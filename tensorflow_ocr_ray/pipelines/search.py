@@ -30,6 +30,8 @@ import pandas as pd
 import ray
 import ray.data as rd
 
+from tensorflow_ocr_ray import cache
+
 PHRASES = ("part filter", "order fast", "table hash")
 BM25_TERMS = ("scan", "join", "filter")
 BM25_K1 = 1.2
@@ -420,42 +422,7 @@ def ndcg_eval(sf_dir: str, terms: tuple[str, ...] = BM25_TERMS,
 
 # ---------------- persisted inverted index (hive posting shards) -----------
 
-_DOC_INDEX_CACHE_ROOT = "/tmp/tensorflow_ocr_ray_indexes"
 IDX_N_SHARDS = 16
-
-
-def _doc_fingerprint(sf_dir: str) -> str:
-    import hashlib
-    import os
-
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    return hashlib.md5(
-        f"{os.path.abspath(sf_dir)}:{st.st_size}:{st.st_mtime_ns}".encode()
-    ).hexdigest()[:12]
-
-
-def _ensure_doc_index(tag: str, sf_dir: str, build) -> str:
-    """Build-once cache keyed on the documents table's fingerprint —
-    the similarity-family ``_ensure_index`` convention (scratch build +
-    atomic rename; concurrent builders race benignly)."""
-    import os
-    import shutil
-
-    d = os.path.join(
-        _DOC_INDEX_CACHE_ROOT, f"{tag}-{_doc_fingerprint(sf_dir)}"
-    )
-    if not os.path.exists(os.path.join(d, "_SUCCESS")):
-        tmp = f"{d}.build-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(_DOC_INDEX_CACHE_ROOT, exist_ok=True)
-        build(tmp)
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, d)
-        except OSError:
-            shutil.rmtree(tmp, ignore_errors=True)
-    return d
 
 
 def build_inverted_index(sf_dir: str, index_dir: str,
@@ -522,8 +489,9 @@ def inverted_index_and(sf_dir: str,
     from tensorflow_ocr_ray.stages.exchange import hash_exchange
 
     terms = tuple(dict.fromkeys(terms))  # dedup, keep order
-    index_dir = _ensure_doc_index(
-        f"inv{n_shards}", sf_dir,
+    fp = cache.table_fingerprint(sf_dir, "documents")
+    index_dir = cache.build_once(
+        cache.INDEX_ROOT, f"inv{n_shards}-{fp}",
         lambda d: build_inverted_index(sf_dir, d, n_shards))
     need = sorted(
         {int(h % np.uint64(n_shards))

@@ -19,6 +19,8 @@ import pandas as pd
 import ray
 import ray.data as rd
 
+from tensorflow_ocr_ray import cache
+
 
 _BCAST_CACHE: dict = {}
 
@@ -370,43 +372,12 @@ def ann_topk_lsh_indexed(
     return out.reset_index(drop=True).astype({"vec_id": "int64"})
 
 
-_INDEX_CACHE_ROOT = "/tmp/tensorflow_ocr_ray_indexes"
-
-
-def _emb_fingerprint(sf_dir: str) -> str:
-    import hashlib
-    import os
-
-    st = os.stat(f"{sf_dir}/embeddings.parquet")
-    return hashlib.md5(
-        f"{os.path.abspath(sf_dir)}:{st.st_size}:{st.st_mtime_ns}".encode()
-    ).hexdigest()[:12]
-
-
 def _ensure_index(tag: str, sf_dir: str, build) -> str:
     """Build-once cache for bucket indexes, keyed on the embeddings
-    table's fingerprint (path+size+mtime): the index IS the operator at
-    scale, so queries must reuse it, not rebuild per call.  Built into a
-    scratch dir then renamed — concurrent builders race benignly (same
-    deterministic content; the loser's rename fails and is discarded)."""
-    import os
-    import shutil
-
-    d = os.path.join(
-        _INDEX_CACHE_ROOT, f"{tag}-{_emb_fingerprint(sf_dir)}"
-    )
-    if not os.path.exists(os.path.join(d, "_SUCCESS")):
-        tmp = f"{d}.build-{os.getpid()}"
-        shutil.rmtree(tmp, ignore_errors=True)
-        os.makedirs(_INDEX_CACHE_ROOT, exist_ok=True)
-        build(tmp)
-        with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
-            f.write("ok")
-        try:
-            os.rename(tmp, d)
-        except OSError:  # another process won the race; its index is equal
-            shutil.rmtree(tmp, ignore_errors=True)
-    return d
+    table's fingerprint: the index IS the operator at scale, so queries
+    must reuse it, not rebuild per call (``cache.build_once``)."""
+    fp = cache.table_fingerprint(sf_dir, "embeddings")
+    return cache.build_once(cache.INDEX_ROOT, f"{tag}-{fp}", build)
 
 
 def _bucket_row_count(index_dir: str, prefix: str, code: int) -> int:
@@ -1100,9 +1071,6 @@ def ann_range_search(sf_dir: str, threshold: float = 0.2,
     )
 
 
-_KMEANS_MEMO: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _kmeans_codes(batch: dict, sc: np.ndarray) -> tuple[np.ndarray,
                                                         np.ndarray]:
     """int8-quantization codes for a batch (embedding_quantize's rule)."""
@@ -1132,13 +1100,18 @@ def _kmeans_assign_codes(codes: np.ndarray,
 def _kmeans_state(sf_dir: str, k: int = 8,
                   iters: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """(per-dim scales, final integer centroids) — memoized per
-    (sf_dir, k, iters) so kmeans_quantized / cluster_representatives /
-    cluster_token_profile pay the iteration passes once per driver
-    pass.  State is k x dim + dim — trivially broadcastable at any
-    corpus size."""
-    key = (os.path.abspath(sf_dir), k, iters)
-    if key in _KMEANS_MEMO:
-        return _KMEANS_MEMO[key]
+    (sf_dir, k, iters) and embeddings fingerprint so kmeans_quantized /
+    cluster_representatives / cluster_token_profile pay the iteration
+    passes once per driver pass.  State is k x dim + dim — trivially
+    broadcastable at any corpus size."""
+    return cache.memo(
+        "kmeans", (os.path.abspath(sf_dir), k, iters),
+        cache.table_fingerprint(sf_dir, "embeddings"),
+        lambda: _kmeans_fit(sf_dir, k, iters))
+
+
+def _kmeans_fit(sf_dir: str, k: int,
+                iters: int) -> tuple[np.ndarray, np.ndarray]:
     from ray.data.aggregate import Max
 
     def dim_partials(batch: dict) -> pd.DataFrame:
@@ -1217,7 +1190,6 @@ def _kmeans_state(sf_dir: str, k: int = 8,
                 new[int(j)] = np.floor(sums / n + 0.5).astype(np.int64)
         cents = new
 
-    _KMEANS_MEMO[key] = (s, cents)
     return s, cents
 
 
@@ -1430,9 +1402,6 @@ def semdedup_prune(sf_dir: str, k: int = 8, iters: int = 2,
     return hash_exchange(routed, "shard", k, prune)
 
 
-_PQ_MEMO: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-
-
 def _pq_state(sf_dir: str, m: int = 4, k: int = 8,
               iters: int = 2) -> tuple[np.ndarray, np.ndarray]:
     """(per-dim scales, (m, k, dim/m) per-subspace integer centroids)
@@ -1443,9 +1412,14 @@ def _pq_state(sf_dir: str, m: int = 4, k: int = 8,
     _kmeans_state: init = sliced codes of vec_id 0..k-1, ties to the
     smaller cluster id, empty clusters keep their centroid,
     floor(sum/n + 0.5) re-quantization."""
-    key = (os.path.abspath(sf_dir), m, k, iters)
-    if key in _PQ_MEMO:
-        return _PQ_MEMO[key]
+    return cache.memo(
+        "pq", (os.path.abspath(sf_dir), m, k, iters),
+        cache.table_fingerprint(sf_dir, "embeddings"),
+        lambda: _pq_fit(sf_dir, m, k, iters))
+
+
+def _pq_fit(sf_dir: str, m: int, k: int,
+            iters: int) -> tuple[np.ndarray, np.ndarray]:
     from ray.data.aggregate import Max, Sum as _Sum
 
     def dim_partials(batch: dict) -> pd.DataFrame:
@@ -1527,7 +1501,6 @@ def _pq_state(sf_dir: str, m: int = 4, k: int = 8,
                 ).astype(np.int64)
         cents = new
 
-    _PQ_MEMO[key] = (s, cents)
     return s, cents
 
 
@@ -1734,7 +1707,6 @@ def ann_index_append(
     )
 
     def build_appended(d: str) -> None:
-        os.makedirs(d, exist_ok=True)
         for bucket in os.listdir(base_dir):
             if not bucket.startswith("code="):
                 continue

@@ -21,17 +21,12 @@ import pyarrow as pa
 
 import ray.data as rd
 
+from tensorflow_ocr_ray import cache
 from tensorflow_ocr_ray.config import TF_UNKNOWN
 
 
 _TIER_DOCS = {"sf0.001": 16, "sf0.01": 48, "sf0.1": 128}
 _TIER_SCORER_DOCS = {"sf0.001": 12, "sf0.01": 32, "sf0.1": 96}
-
-# trained-scorer memo: the TF query family (tf_dense_predictions,
-# tf_agreement, ocr_dense_scorer, ocr_cnn_scorer) shares one driver
-# session, and training is deterministic given (font index, epochs) —
-# retraining per query call just re-derives the same weights
-_SCORER_MEMO: dict[tuple, dict] = {}
 
 
 def _font_fingerprint() -> str:
@@ -47,11 +42,14 @@ def _font_fingerprint() -> str:
 
 def trained_scorer_state(kind: str, epochs: int) -> dict:
     """Train the dense/cnn scorer ONCE per (kind, epochs, font
-    fingerprint) per driver process and return its weight state.  The
-    fingerprint keys the memo so interactive retraining (tools/retrain.py
-    mutates the index) still invalidates correctly."""
-    key = (kind, epochs, _font_fingerprint())
-    if key not in _SCORER_MEMO:
+    fingerprint) per driver process and return its weight state: the TF
+    query family (tf_dense_predictions, tf_agreement, ocr_dense_scorer,
+    ocr_cnn_scorer) shares one driver session, and training is
+    deterministic given (font index, epochs).  The fingerprint is the
+    memo's input fingerprint, so interactive retraining
+    (tools/retrain.py mutates the index) still invalidates correctly."""
+
+    def build() -> dict:
         if kind == "dense":
             from tensorflow_ocr_ray.fonts import get_font_index
             from tensorflow_ocr_ray.models.dense import train_on_font_index
@@ -63,8 +61,9 @@ def trained_scorer_state(kind: str, epochs: int) -> dict:
             model, _ = train_on_font_windows(epochs=epochs)
         else:
             raise ValueError(f"unknown scorer kind {kind!r}")
-        _SCORER_MEMO[key] = model.to_state()
-    return _SCORER_MEMO[key]
+        return model.to_state()
+
+    return cache.memo("scorer", (kind, epochs), _font_fingerprint(), build)
 
 
 def _tier(sf_dir: str, table: dict, default: int) -> int:

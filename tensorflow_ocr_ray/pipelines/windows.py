@@ -27,6 +27,7 @@ import pandas as pd
 import ray
 import ray.data as rd
 
+from tensorflow_ocr_ray import cache
 from tensorflow_ocr_ray.stages.exchange import hash_exchange
 
 GAP_MIN = 30
@@ -1078,18 +1079,19 @@ def range_window_sum(sf_dir: str, hours: int = 1,
 # ---------------- NTILE via distributed global rank --------------------------
 
 
-_BUCKET_OFFSETS_MEMO: dict[str, tuple[dict, dict]] = {}
-
-
 def _type_bucket_offsets(sf_dir: str) -> tuple[dict, dict]:
     """Bounded (event_type, unit-value-bucket) counts -> exclusive rank
-    offsets + per-type totals, memoized per sf_dir: ntile_events and
-    median_value_cont share ONE count pass per driver pass.  The table
-    is |types| x |buckets| — data-scale-free."""
-    key = os.path.abspath(sf_dir)
-    if key in _BUCKET_OFFSETS_MEMO:
-        return _BUCKET_OFFSETS_MEMO[key]
+    offsets + per-type totals, memoized per sf_dir and events
+    fingerprint: ntile_events and median_value_cont share ONE count
+    pass per driver pass.  The table is |types| x |buckets| —
+    data-scale-free."""
+    return cache.memo(
+        "bucket_offsets", (os.path.abspath(sf_dir),),
+        cache.table_fingerprint(sf_dir, "events"),
+        lambda: _count_type_buckets(sf_dir))
 
+
+def _count_type_buckets(sf_dir: str) -> tuple[dict, dict]:
     def bcount(df: pd.DataFrame) -> pd.DataFrame:
         g = pd.DataFrame(
             {
@@ -1124,7 +1126,6 @@ def _type_bucket_offsets(sf_dir: str) -> tuple[dict, dict]:
         t = r["event_type"]
         offs[(t, int(r["bucket"]))] = totals.get(t, 0)
         totals[t] = totals.get(t, 0) + int(r["n"])
-    _BUCKET_OFFSETS_MEMO[key] = (offs, totals)
     return offs, totals
 
 

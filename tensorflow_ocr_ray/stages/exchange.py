@@ -32,10 +32,10 @@ the exchange a SKINNY pre-reduced projection (ids + shard + the few
 columns ``fn`` needs), never raw wide rows: at 10^12 events a 32-byte
 projection is ~30 TB across the cluster's store+spill, which is the
 same high-water mark Ray's sort shuffle needs for its map output.  If
-an input might exceed that, pre-reduce harder (map-side partials), use
-:func:`streaming_exchange` below (same semantics, ~1x high-water, true
-backpressure, ~1.5x the per-row cost), or fall back to
-``groupby().map_groups`` — correctness is identical in all three.
+an input might exceed that, pre-reduce harder (map-side partials) or
+fall back to ``groupby().map_groups``: Ray's own shuffle runs inside
+the streaming executor and spills, so it is the bounded-memory route,
+with identical results.
 
 Contract differences vs map_groups:
 - EMPTY shards reach ``fn`` as an empty typed frame (map_groups never
@@ -162,145 +162,3 @@ def hash_exchange(
     if arrow:
         return rd.from_arrow_refs(shard_refs)
     return rd.from_pandas_refs(shard_refs)
-
-
-
-class _ShardCollector:
-    """Actor accumulating the slices of a GROUP of shards
-    (streaming_exchange): one RPC per batch delivers the group's
-    CONTIGUOUS slice of the shard-sorted batch plus its shard values;
-    the split into per-shard zero-copy sub-slices happens here, off the
-    routing task's critical path."""
-
-    def __init__(self, shards: list[int]):
-        self.parts = {s: [] for s in shards}
-        self.shards = shards
-
-    def add_group(self, part: pa.Table, shard_vals: np.ndarray) -> int:
-        for sh in self.shards:
-            lo = np.searchsorted(shard_vals, sh, side="left")
-            hi = np.searchsorted(shard_vals, sh, side="right")
-            self.parts[sh].append(part.slice(lo, hi - lo))
-        return len(shard_vals)
-
-    def n_rows(self) -> int:
-        return sum(p.num_rows for v in self.parts.values() for p in v)
-
-    def finalize(self, shard: int, fn, arrow: bool):
-        t = pa.concat_tables(self.parts[shard],
-                             promote_options="permissive")
-        if arrow:
-            return fn(t)
-        return fn(t.to_pandas())
-
-
-def streaming_exchange(
-    ds: "rd.Dataset",
-    shard_col: str,
-    n_shards: int,
-    fn: Callable,
-    batch_format: str = "pandas",
-    batch_size: int | None = 262144,
-    n_collectors: int | None = None,
-) -> "rd.Dataset":
-    """Bounded-memory alternative to :func:`hash_exchange`: the same
-    route-by-precomputed-shard semantics, but the input STREAMS.
-
-    ``hash_exchange`` materializes the whole upstream eagerly
-    (``to_arrow_refs``) and holds input blocks + all split slices in
-    the store at once (a ~2x high-water mark).  Here the routing runs
-    INSIDE Ray Data's streaming executor: a ``map_batches`` stage
-    splits each batch by shard and ships the slices (including empty
-    ones — they carry the schema) to ``n_collectors`` collector ACTORS
-    (each owning a contiguous shard group, ONE ack-gated RPC per actor
-    per batch), so the executor's backpressure propagates all the way
-    to the read.  High-water memory is one shard-set of accumulated
-    rows (~1x, in the collectors) plus the executor's bounded in-flight
-    blocks; the upstream is never pinned.
-
-    Contract differences vs hash_exchange (shared: out-of-range shard
-    values raise; empty shards reach fn as typed empties; empty input
-    yields an empty dataset):
-    - Row ORDER within a shard is arrival order — nondeterministic
-      across runs.  Callers whose fn is order-sensitive must sort
-      inside fn (every fn in this repo already does or is
-      order-insensitive).
-    - A collector's shard group must fit its actor HEAP (hash_exchange
-      keeps slices in the spillable object store until merge), so on a
-      cluster ``n_collectors`` should be sized to spread groups across
-      nodes (default: min(n_shards, 8)).
-    - The collectors take ``num_cpus=0`` so routing tasks can never
-      starve them into a deadlock; add/finalize work is therefore
-      unaccounted in Ray's CPU bookkeeping (documented trade).
-
-    MEASURED (2M-row skinny int64 projection, 64 shards, 32 cpus,
-    best-of-2): hash_exchange 0.68 s, groupby.map_groups 0.89 s, this
-    0.99 s (a first cut with one RPC per SHARD per batch measured
-    21.5 s and a blocked-ray.get worker explosion — grouping shards
-    per actor is what makes it viable).  The eager exchange stays the
-    default for skinny projections; use this when the exchange input
-    is too large to double-buffer in store + spill.
-    """
-    if batch_format not in ("pandas", "pyarrow"):
-        raise ValueError(f"unknown batch_format {batch_format!r}")
-    arrow = batch_format == "pyarrow"
-    n_collectors = min(n_shards, n_collectors or 8)
-    # contiguous shard groups, sizes differing by at most one
-    bounds = np.linspace(0, n_shards, n_collectors + 1).astype(int)
-    groups = [list(range(bounds[i], bounds[i + 1]))
-              for i in range(n_collectors)]
-    owner = np.empty(n_shards, dtype=np.int64)
-    for gi, g in enumerate(groups):
-        owner[g] = gi
-    collectors = [
-        ray.remote(num_cpus=0)(_ShardCollector).remote(g) for g in groups
-    ]
-
-    def route(tbl: pa.Table) -> pa.Table:
-        """ONE stable sort + take per batch, then one contiguous
-        zero-copy slice per collector group (shard groups are
-        contiguous ranges) — not one full-table filter per shard, which
-        made the first cut O(n_shards x batch) per batch and 6x slower
-        than the eager exchange at the 320k-doc probe.  combine_chunks
-        materializes just the slice so its pickle ships only the
-        group's rows, not the parent buffers."""
-        empty = tbl.slice(0, 0)
-        if shard_col not in tbl.column_names:
-            # schema-less empty block: nothing to route
-            return empty
-        s = np.asarray(tbl.column(shard_col).to_numpy(zero_copy_only=False))
-        if len(s) and (s.min() < 0 or s.max() >= n_shards):
-            raise ValueError(
-                f"streaming_exchange: {shard_col} values outside "
-                f"[0, {n_shards}) — got [{s.min()}, {s.max()}]; rows "
-                f"would be silently dropped"
-            )
-        order = np.argsort(s, kind="stable")
-        sorted_tbl = tbl.take(pa.array(order))
-        ss = s[order]
-        acks = []
-        for gi, g in enumerate(groups):
-            lo = int(np.searchsorted(ss, g[0], side="left"))
-            hi = int(np.searchsorted(ss, g[-1], side="right"))
-            # empty group slices still ship: they carry the schema the
-            # typed-empty finalize contract needs
-            part = sorted_tbl.slice(lo, hi - lo).combine_chunks()
-            acks.append(collectors[gi].add_group.remote(part, ss[lo:hi]))
-        ray.get(acks)  # backpressure: batch completes only once landed
-        return empty
-
-    # drive the routing stage to completion under the streaming executor
-    ds.map_batches(
-        route, batch_format="pyarrow", batch_size=batch_size
-    ).materialize()
-
-    if not any(ray.get([c.n_rows.remote() for c in collectors])):
-        # empty upstream: no typed slice ever shipped, so there is no
-        # frame to seed fn with — same contract as hash_exchange
-        return rd.from_pandas(pd.DataFrame())
-    shard_refs = [
-        collectors[owner[s]].finalize.remote(s, fn, arrow)
-        for s in range(n_shards)
-    ]
-    return (rd.from_arrow_refs(shard_refs) if arrow
-            else rd.from_pandas_refs(shard_refs))

@@ -570,23 +570,6 @@ def test_spearman_matches_scipy_style(ray_session):
     assert got["n"].iloc[0] == len(df)
 
 
-def test_tfidf_streaming_exchange_equivalent(ray_session):
-    """exchange='streaming' (the bounded-memory escape hatch) returns the
-    same rows as the default eager routed exchange."""
-    import pandas as pd
-
-    from tensorflow_ocr_ray.pipelines.curation import tfidf_top_terms
-
-    sf = "/root/testdata/sf0.001"
-    a = tfidf_top_terms(sf).to_pandas()
-    b = tfidf_top_terms(sf, exchange="streaming").to_pandas()
-
-    def norm(d):
-        return d.sort_values(list(d.columns)).reset_index(drop=True)
-
-    pd.testing.assert_frame_equal(norm(a), norm(b))
-
-
 def test_token_count_batch_parity():
     """Vectorized Arrow token counting == the scalar token_count on the
     corpus plus whitespace edge cases (empty, all-space, tabs/newlines)."""

@@ -178,100 +178,6 @@ def test_hash_exchange_pyarrow_empty_shard(ray_session):
     assert out["has_k"].all()  # typed empties, never schema-less
 
 
-# ---------------------------------------------------------------------------
-# streaming_exchange: the bounded-memory actor-collector variant
-
-
-def test_streaming_exchange_matches_hash_exchange(ray_session):
-    import ray.data as rd
-
-    from tensorflow_ocr_ray.stages.exchange import (
-        hash_exchange,
-        streaming_exchange,
-    )
-
-    df = _mk()
-    n_shards = 16
-
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("k", as_index=False).agg(s=("v", "sum"),
-                                                 n=("v", "size"))
-        return out.astype({"k": "int64", "s": "int64", "n": "int64"})
-
-    got = streaming_exchange(
-        rd.from_pandas(df).repartition(7), "shard", n_shards, fn,
-        batch_size=64,  # many batches per shard: exercises accumulation
-    ).to_pandas()
-    want = hash_exchange(
-        rd.from_pandas(df).repartition(7), "shard", n_shards, fn
-    ).to_pandas()
-    key = ["k", "s", "n"]
-    g = got[key].sort_values(key).reset_index(drop=True)
-    w = want[key].sort_values(key).reset_index(drop=True)
-    assert g.equals(w)
-
-
-def test_streaming_exchange_empty_shards_and_input(ray_session):
-    import ray.data as rd
-
-    from tensorflow_ocr_ray.stages.exchange import streaming_exchange
-
-    df = _mk(n=50)
-    df["shard"] = 0
-
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"n": pd.Series([len(g)], dtype="int64")}) \
-            if len(g) else pd.DataFrame({"n": pd.Series([], dtype="int64")})
-
-    out = streaming_exchange(
-        rd.from_pandas(df), "shard", 32, fn).to_pandas()
-    assert out["n"].tolist() == [50]
-
-    empty = rd.from_pandas(df.iloc[:0])
-    out = streaming_exchange(empty, "shard", 8, fn).to_pandas()
-    assert len(out) == 0
-
-
-def test_streaming_exchange_out_of_range_raises(ray_session):
-    import pytest
-    import ray.data as rd
-
-    from tensorflow_ocr_ray.stages.exchange import streaming_exchange
-
-    df = _mk(n=30)
-    df.loc[7, "shard"] = 99
-
-    with pytest.raises(Exception, match="outside"):
-        streaming_exchange(
-            rd.from_pandas(df), "shard", 16, lambda g: g
-        ).to_pandas()
-
-
-def test_streaming_exchange_pyarrow_mode(ray_session):
-    import pyarrow as pa
-    import ray.data as rd
-
-    from tensorflow_ocr_ray.stages.exchange import streaming_exchange
-
-    df = _mk(n=80, n_shards=8)
-
-    def fn(t: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        assert isinstance(t, pa.Table)
-        return pa.table(
-            {"rows": pa.array([t.num_rows], type=pa.int64()),
-             "vsum": pa.array(
-                 [pc.sum(t.column("v")).as_py() or 0], type=pa.int64())}
-        )
-
-    out = streaming_exchange(
-        rd.from_pandas(df), "shard", 8, fn, batch_format="pyarrow"
-    ).to_pandas()
-    assert out["rows"].sum() == 80
-    assert out["vsum"].sum() == int(df["v"].sum())
-
-
 def test_hash_exchange_single_shard(ray_session):
     """n_shards=1 (adaptive sharding floor): ray's num_returns=1
     returns a bare value, not a 1-tuple — the exchange must normalize

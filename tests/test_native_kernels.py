@@ -83,6 +83,18 @@ def test_g4_native_matches_python(h, w, density, seed, cut, flips):
 
 
 @needs_kernels
+def test_g4_cut_fixture_strip_reports_truncation():
+    from tensorflow_ocr_ray.fixtures import page_spec_for_ref, render_page
+
+    img = render_page(page_spec_for_ref("page-42-000007-0"))
+    enc = ccitt.encode_g4(img)
+    h, w = img.shape
+    for decode in (_g4_native, ccitt.decode_g4_py):
+        with pytest.raises(ValueError, match="^truncated CCITT stream$"):
+            decode(enc[: len(enc) // 2], w, h)
+
+
+@needs_kernels
 @settings(max_examples=40, deadline=None)
 @given(data=st.binary(max_size=400), w=st.integers(0, 64),
        h=st.integers(0, 8))

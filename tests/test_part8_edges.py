@@ -238,14 +238,10 @@ def test_semdedup_planted_duplicates(ray_session, tmp_path):
         "label": pa.array([0] * len(rows), pa.int32()),
     })
     pq.write_table(emb, str(tmp_path / "embeddings.parquet"))
-    from tensorflow_ocr_ray.pipelines.similarity import (
-        _KMEANS_MEMO, semdedup_prune,
-    )
+    from tensorflow_ocr_ray.pipelines.similarity import semdedup_prune
 
-    _KMEANS_MEMO.clear()  # tmp_path may collide with a prior test's key
     out = (semdedup_prune(str(tmp_path), k=2, iters=1, dist_le=0)
            .to_pandas().sort_values("vec_id").reset_index(drop=True))
-    _KMEANS_MEMO.clear()
     assert out["keep"].tolist() == [1, 1, 0, 0, 0, 1]
 
 

@@ -191,10 +191,10 @@ def test_pruned_entries_match_scan_variants(ray_session, planted_dir):
 
     # second call must reuse the cached index (fingerprint-keyed)
     import os
-    from tensorflow_ocr_ray.pipelines import similarity as sim
+    from tensorflow_ocr_ray import cache
 
-    fp = sim._emb_fingerprint(planted_dir)
-    d = os.path.join(sim._INDEX_CACHE_ROOT, f"lsh-p8-s11-{fp}")
+    fp = cache.table_fingerprint(planted_dir, "embeddings")
+    d = os.path.join(cache.INDEX_ROOT, f"lsh-p8-s11-{fp}")
     mtime = os.path.getmtime(os.path.join(d, "_SUCCESS"))
     ann_topk_lsh_pruned(planted_dir, k=10)
     assert os.path.getmtime(os.path.join(d, "_SUCCESS")) == mtime
@@ -346,8 +346,8 @@ def test_ann_index_append_equals_scratch(ray_session):
     append-* delta files."""
     import glob
 
+    from tensorflow_ocr_ray.cache import table_fingerprint
     from tensorflow_ocr_ray.pipelines.similarity import (
-        _emb_fingerprint,
         ann_index_append,
         ann_topk_lsh_pruned,
     )
@@ -358,7 +358,7 @@ def test_ann_index_append_equals_scratch(ray_session):
     assert a["vec_id"].tolist() == b["vec_id"].tolist()
     assert a["sim"].tolist() == b["sim"].tolist()
     d = (f"/tmp/tensorflow_ocr_ray_indexes/"
-         f"lshapp-p8-s11-{_emb_fingerprint(sf)}")
+         f"lshapp-p8-s11-{table_fingerprint(sf, 'embeddings')}")
     appended = glob.glob(f"{d}/code=*/append-*.parquet")
     base = glob.glob(f"{d}/code=*/*.parquet")
     assert len(appended) > 0
@@ -562,13 +562,12 @@ def test_inverted_index_pruned_read(ray_session, tmp_path):
     assert n >= 1
     with open(os.path.join(idx, "_SUCCESS"), "w") as f:
         f.write("ok")
-    # plant the prebuilt index where _ensure_doc_index will find it
-    from tensorflow_ocr_ray.pipelines import search as s
-    from tensorflow_ocr_ray.pipelines.search import _doc_fingerprint
-    cached = os.path.join(s._DOC_INDEX_CACHE_ROOT,
-                          f"inv{IDX_N_SHARDS}-{_doc_fingerprint(str(tmp_path))}")
+    # plant the prebuilt index where cache.build_once will find it
+    from tensorflow_ocr_ray import cache
+    fp = cache.table_fingerprint(str(tmp_path), "documents")
+    cached = os.path.join(cache.INDEX_ROOT, f"inv{IDX_N_SHARDS}-{fp}")
     shutil.rmtree(cached, ignore_errors=True)
-    os.makedirs(s._DOC_INDEX_CACHE_ROOT, exist_ok=True)
+    os.makedirs(cache.INDEX_ROOT, exist_ok=True)
     shutil.copytree(idx, cached)
     # corrupt every shard the query does NOT need
     need = {int(h % np.uint64(IDX_N_SHARDS))

@@ -154,11 +154,9 @@ def test_sorted_export_resume_and_global_order(ray_session):
     assert m1.equals(m2)
     assert resume_sec < 2.0
 
-    from tensorflow_ocr_ray.pipelines.relational import (
-        _orders_fingerprint,
-    )
+    from tensorflow_ocr_ray.cache import table_fingerprint
     d = (f"/tmp/tensorflow_ocr_ray_exports/"
-         f"sorted-{_orders_fingerprint(SF)}-16")
+         f"sorted-{table_fingerprint(SF, 'orders')}-16")
     files = sorted(glob.glob(os.path.join(d, "part-*.parquet")))
     assert len(files) == len(m1)
     allc = []
