@@ -31,8 +31,8 @@ def _fixture_docs(sf_dir: str, seed: int = 42):
 
 
 def entry() -> Any:
-    """Flagship: read interleaved docs → OCR media spans via task pool →
-    groupby-reassemble span sequences.  Returns the output Dataset."""
+    """Flagship: read interleaved docs → OCR media spans, one task per
+    document batch.  Returns the output Dataset."""
     from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
 
     ds, n = _fixture_docs("/root/testdata/sf0.001")

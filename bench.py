@@ -56,16 +56,8 @@ def _init_ray(num_cpus: int):
 
     ctx = DataContext.get_current()
     ctx.enable_progress_bars = False
-    # The reassembly groupby's Sort AllToAll reserves ~half the cluster
-    # under Ray Data's default resource-reservation allocator, capping the
-    # OCR scorer pool at ~3 of 8 CPUs even though the sort's own
-    # work is a tail-end blip (measured: scorer stage 153s CPU-time but
-    # only ~2.8x effective parallelism at 8 CPUs).  Disabling reservation
-    # lets the streaming executor share cores greedily across ops:
-    # measured 1.6x faster OCR wall at 8 CPUs.  Env-overridable so the
-    # default-allocator behavior stays reproducible.
-    ctx.op_resource_reservation_ratio = float(
-        os.environ.get("GRAFT_RESERVATION_RATIO", "0"))
+    # no per-operator reservation: cores go to whichever operator has work
+    ctx.op_resource_reservation_ratio = 0.0
     return ray
 
 
@@ -108,7 +100,8 @@ def bench_ocr(
     num_docs: int, num_cpus: int, seed: int = 42,
     concurrency: int | None = None,
 ) -> dict:
-    """The headline: interleaved docs → exploded OCR → reassembled docs."""
+    """The headline: interleaved docs → OCR'd docs, one task per
+    document batch."""
     import ray.data as rd
 
     from tensorflow_ocr_ray.fixtures import generate_documents
@@ -129,9 +122,9 @@ def bench_ocr(
             ds,
             media_spec={"kind": "dir", "path": media_root},
             # default: at most N-1 scorer tasks in flight, leaving one
-            # CPU for the explode / repartition / sort stages so they
-            # keep pace with the scorer.  Scaling runs override this so
-            # the scorer:CPU ratio is IDENTICAL at both levels.
+            # CPU for the document repartition and the driver.  Scaling
+            # runs override this so the scorer:CPU ratio is IDENTICAL at
+            # both levels.
             concurrency=concurrency or max(1, num_cpus - 1),
             batch_size=16,
             num_blocks=int(os.environ.get("GRAFT_OCR_BLOCKS", 0))
@@ -156,9 +149,9 @@ def bench_extract(
     concurrency: int | None = None,
 ) -> dict:
     """The north-rule flagship: interleaved WEB docs (text spans are
-    boilerplate-wrapped html) → strip + OCR in one exploded stream →
-    reassembled docs.  Same plan as ``bench_ocr`` plus the html strip
-    stage, so the two timings isolate the extraction increment."""
+    boilerplate-wrapped html) → strip + OCR in the same task per
+    document batch.  Same plan as ``bench_ocr`` plus the html strip
+    step, so the two timings isolate the extraction increment."""
     import ray.data as rd
 
     from tensorflow_ocr_ray.fixtures import (
@@ -290,7 +283,7 @@ def run_scaling(sf_dir: str, low: int = 2, high: int = 8,
                        # task waves stay short relative to wall)
                        GRAFT_OCR_BLOCKS=str(8 * cpus))
             # scorer:CPU ratio held constant across levels (cpus//2
-            # scorer tasks + cpus//2 for the explode/shuffle stages) so
+            # scorer tasks, the rest for the repartition and driver) so
             # the two levels are true N- vs 4N-shaped configs
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--ocr-only",
@@ -354,7 +347,7 @@ def _write_scaling_md(r: dict) -> None:
                 "best-of-3 per level, constant scorer:CPU ratio), but the\n"
                 "combined web-extraction flagship: html spans strip\n"
                 "boilerplate, media spans OCR, text spans pass through —\n"
-                "one exploded stream, span-sequence order preserved.\n\n"
+                "one task per document batch, span order preserved.\n\n"
                 f"| docs | CPUs | wall sec | docs/sec |\n|---|---|---|---|\n"
                 f"| {r['docs']} | {lo} | "
                 f"{r['queries']['ocr@%dcpus' % lo]} | "
@@ -378,7 +371,7 @@ def _write_scaling_md(r: dict) -> None:
     with open(path, "w") as f:
         f.write(
             "# BENCH/BASELINE.md — scaling evidence (sandbox protocol)\n\n"
-            "Same OCR job (fixture corpus, exploded plan) at two parallelism\n"
+            "Same OCR job (fixture corpus, flagship plan) at two parallelism\n"
             "levels in fresh `ray.init(address='local', num_cpus=N)` processes\n"
             "— the in-sandbox stand-in for N vs 4N cluster nodes.\n\n"
             "Levels are N=2 vs 4N=8 of the 32 cores: a plain\n"
@@ -446,11 +439,10 @@ def run_scaling_query(sf_dir: str, name: str = "doc_fingerprints",
     groupby shuffle (tfidf_top_terms, dup_span_coverage) level out at
     ~0.35-0.4 here because the Sort operator's map/reduce phases do not
     parallelize at these data sizes (stats show the sort dominating
-    wall at both levels) — which is exactly why the OCR flagship uses
-    an explicit hash-bucket repartition instead of groupby-sort for its
-    one wide exchange, and why every relational operator in this repo
-    pre-aggregates map-side so the sort only ever moves skinny
-    partials.  Memoized state is per-process; each level is a fresh
+    wall at both levels) — which is why the OCR flagship has no wide
+    exchange (one task per document batch), and why every relational
+    operator in this repo pre-aggregates map-side so the sort only ever
+    moves skinny partials.  Memoized state is per-process; each level is a fresh
     session; the warmup rep excludes read-cache effects."""
     # the sf0.1 tables are small enough that EVERY query bottoms out at
     # the ~1-2 s per-pipeline orchestration floor at both levels; give

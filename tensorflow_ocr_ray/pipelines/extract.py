@@ -16,16 +16,14 @@ pipeline extracts everything:
 - ``text``  → passes through untouched.
 
 Span-sequence equality ``(kind, text, media_ref, order)`` is preserved
-exactly — the strip stage rewrites only ``text`` of ``html`` rows, the
-ordinal/bucket machinery is shared with :func:`ocr_documents` (it is the
-same physical plan with one extra task stage, so everything measured
-about the flagship — skew repartition, task-pool deployment, bucketed
-reassembly — applies unchanged).
+exactly — the strip stage rewrites only ``text`` of ``html`` rows, and
+the plan is :func:`ocr_documents`'s with one extra step inside its
+per-batch task (explode → strip → score → reassemble), so everything
+measured about the flagship applies unchanged.
 
-Scale note: the strip stage is pure per-string regex work with no state,
-so it rides plain tasks and pipelines with both the explode above and
-the scorer task pool below; html-heavy corpora just shift wall
-time between the two map stages, never into the shuffle.
+Scale note: the strip is pure per-string regex work with no state, so
+it costs task time in the same task as the scorer; html-heavy corpora
+shift time within that task, never into a shuffle.
 """
 
 from __future__ import annotations
@@ -241,9 +239,9 @@ def media_caption_pairs(ds: "ray.data.Dataset") -> "ray.data.Dataset":
     NESTED, so the order-sensitive walk is per-row local work — NO
     shuffle, no groupby, no explode; the plan is one stateless task map
     regardless of corpus size.  (Had the spans arrived exploded, this
-    would need the flagship's doc-bucket exchange first — nesting is
-    what makes order a free local property, the same reason the
-    flagship reassembles into nested rows.)"""
+    would need a shuffle by ``doc_id`` first — nesting is what makes
+    order a free local property, the same reason the flagship keeps each
+    document whole inside one task.)"""
     from tensorflow_ocr_ray.functions.html_extract import (
         extract_main_content,
     )

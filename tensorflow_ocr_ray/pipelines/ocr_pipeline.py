@@ -7,26 +7,23 @@ per-document span sequence ``(kind, text, media_ref, order)`` is preserved
 exactly (the reference's ordering invariant, carried by explicit ordinal
 columns — never by block order).
 
-One physical plan, built for skew (a 1-span doc next to a 500-span doc,
-tiny pages next to 600x600 ones):
+One physical plan, one task per document batch:
 
-1. ``map_batches`` explode: doc rows → span rows (doc_id, kind, text,
-   media_ref, offset) — pure Arrow ``list_flatten`` +
-   ``list_parent_indices``, zero-copy — then an optional span transform
-   (the html strip of ``pipelines/extract.py``) and a hash bucket of
-   ``doc_id``.
-2. optional ``repartition(num_blocks)`` so span rows spread evenly
-   regardless of per-document span counts.
-3. ``map_batches(make_span_ocr_fn(...))`` task pool — the single heavy
-   stage; media rows OCR'd, text rows pass.
-4. ``groupby("bucket").map_groups`` reassembly — the ONE wide shuffle —
-   sorting each bucket by ``(doc_id, offset)`` and rebuilding the spans
-   list.
+1. optional ``repartition(num_blocks)`` of the document rows;
+2. one task-pool ``map_batches`` whose function, ``ocr_span_batch``,
+   runs each batch of documents through every step in memory: explode
+   to span rows (pure Arrow ``list_flatten`` + ``list_parent_indices``)
+   → optional span transform (the html strip of
+   ``pipelines/extract.py``) → the scorer from ``make_span_ocr_fn``
+   (media rows OCR'd, text rows pass) → reassembly into
+   ``(doc_id, spans)`` rows.
 
-The alternatives were measured and removed (BUILD_NOTES "One physical
-plan"): a fused whole-document actor stage, an actor-pool scorer, and
-reassembly through ``stages.exchange``'s hash or streaming exchange were
-each slower or hung.
+There is no shuffle and no barrier: a document leaves as soon as its
+batch is scored.  The alternatives were measured and removed
+(BUILD_NOTES "One physical plan"): exploded spans reassembled by a
+global ``Sort`` (holds every document to the end of the job), a fused
+whole-document actor stage (hung), an actor-pool scorer, and
+reassembly through a hash or streaming exchange.
 
 The result is a lazy Dataset; callers consume via write_parquet /
 iter_batches.  No ray.init here — sessions belong to the driver.
@@ -40,19 +37,8 @@ import pyarrow.compute as pc
 import ray.data
 
 from tensorflow_ocr_ray.config import OcrConfig
-from tensorflow_ocr_ray.fixtures import DOCUMENTS_SCHEMA, SPAN_SCHEMA
+from tensorflow_ocr_ray.fixtures import SPAN_SCHEMA
 from tensorflow_ocr_ray.stages.ocr_stages import make_span_ocr_fn
-
-EXPLODED_SCHEMA = pa.schema(
-    [
-        ("doc_id", pa.string()),
-        ("kind", pa.string()),
-        ("text", pa.string()),
-        ("media_ref", pa.string()),
-        ("offset", pa.int32()),
-    ]
-)
-
 
 EMPTY_DOC_KIND = "__empty__"  # sentinel: a document with zero spans
 
@@ -101,9 +87,8 @@ def reassemble_group(group: pa.Table) -> pa.Table:
 
     Fully vectorized: one Arrow sort by (doc_id, offset), then the spans
     list column is rebuilt from run-length offsets — no per-document Python.
-    Used per hash bucket so per-group scheduling overhead is O(buckets),
-    not O(documents) (8k one-doc ``map_groups`` calls measured ~10s of pure
-    overhead at sf-bench scale)."""
+    Runs once per document batch, so its overhead is per batch, not per
+    document."""
     import numpy as np
 
     # drop zero-span sentinels; their doc_ids re-emerge as empty lists
@@ -164,69 +149,42 @@ def ocr_documents(
 ) -> "ray.data.Dataset":
     """Build the lazy OCR Dataset; see the module docstring for the plan.
 
-    ``concurrency`` caps the scorer's in-flight tasks (``None``: no cap).
-    ``ray_remote_args`` reaches the scorer's ``map_batches`` (e.g.
-    ``num_gpus`` for GPU scorer deployments).
+    ``batch_size`` and ``num_blocks`` count documents: a batch holds
+    ``batch_size`` whole documents, however many spans they have.
+    ``concurrency`` caps the in-flight tasks (``None``: no cap).
+    ``ray_remote_args`` reaches the ``map_batches`` (e.g. ``num_gpus``
+    for GPU scorer deployments).
 
-    ``pre_score_transform``: an Arrow ``Table → Table`` batch fn applied
-    to the span stream right after the explode — the seam
-    ``pipelines/extract.py`` hangs the HTML boilerplate-strip stage on,
-    so one pipeline extracts every modality in a single streamed pass."""
-    # group count scales with the cluster so per-bucket work stays
-    # bounded as nodes are added
-    try:
-        import ray as _ray
+    ``doc_id`` is the table's key: rows that share a ``doc_id`` are
+    merged into one output row only when they land in the same batch.
 
-        cpus = int(_ray.cluster_resources().get("CPU", 16))
-    except Exception:
-        cpus = 16
-    n_buckets = max(64, 4 * cpus)
-    stage_kwargs = dict(
+    ``pre_score_transform``: an Arrow ``Table → Table`` fn applied to a
+    batch's span rows right after the explode — the seam
+    ``pipelines/extract.py`` hangs the HTML boilerplate strip on, so one
+    pipeline extracts every modality in a single streamed pass."""
+    score = make_span_ocr_fn(dict(
         cfg=cfg,
         font_spec=font_spec,
         media_spec=media_spec,
         postprocess=postprocess,
         scorer_spec=scorer_spec,
         on_media_error=on_media_error,
-    )
-    spans = ds.map_batches(explode_documents, batch_format="pyarrow")
-    if pre_score_transform is not None:
-        # cheap CPU-bound span transform (e.g. HTML strip) rides plain
-        # tasks ahead of the scorer and pipelines with the explode
-        spans = spans.map_batches(pre_score_transform,
-                                  batch_format="pyarrow")
+    ))
 
-    # The reassembly groups on a deterministic hash bucket of doc_id
-    # (small-int key, ≤ n_buckets groups) instead of the raw doc_id,
-    # which would schedule one Python group call per document.  The
-    # bucket is computed before the scorer so each worker's polars
-    # first-import (~0.2 s) lands in pipeline spin-up, not in the drain
-    # tail (measured ~2 s wall at sf0.1/32 CPUs when it ran after).
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        import polars as pl
+    def ocr_span_batch(batch: pa.Table) -> pa.Table:
+        spans = explode_documents(batch)
+        if pre_score_transform is not None:
+            spans = pre_score_transform(spans)
+        return reassemble_group(score(spans))
 
-        # polars xxhash with a fixed seed: stable across tasks in a run,
-        # which is all a shuffle key needs
-        h = pl.from_arrow(batch.column("doc_id")).hash(seed=0)
-        buckets = (h % n_buckets).cast(pl.Int32).to_arrow()
-        return batch.append_column("bucket", buckets)
-
-    spans = spans.map_batches(add_bucket, batch_format="pyarrow")
     if num_blocks:
-        # spread span rows evenly: per-document span-count skew dies here
-        spans = spans.repartition(num_blocks)
-    # plain tasks over warm reused worker processes; stage state is built
-    # once per worker (make_span_ocr_fn)
-    scored = spans.map_batches(
-        make_span_ocr_fn(stage_kwargs),
+        ds = ds.repartition(num_blocks)
+    return ds.map_batches(
+        ocr_span_batch,
         batch_format="pyarrow",
         batch_size=batch_size,
         concurrency=concurrency,
         **(ray_remote_args or {}),
-    )
-    return scored.groupby("bucket").map_groups(
-        lambda g: reassemble_group(g.drop_columns(["bucket"])),
-        batch_format="pyarrow",
     )
 
 

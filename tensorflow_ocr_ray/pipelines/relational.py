@@ -4310,15 +4310,14 @@ def schema_evolution_read(sf_dir: str) -> pd.DataFrame:
         rows = _pq(sf_dir, "orders",
                    ["o_orderkey", "o_totalprice"]).map_batches(
             split, batch_format="pandas", batch_size=65536)
-        rows.filter(
-            lambda r: bool(r["is_v1"])
-        ).select_columns(["o_orderkey", "cents"]).write_parquet(
-            os.path.join(tmp, "v1"))
-        rows.filter(
-            lambda r: not r["is_v1"]
-        ).select_columns(
-            ["o_orderkey", "cents", "channel"]).write_parquet(
-            os.path.join(tmp, "v2"))
+        for name, is_v1, cols in (
+                ("v1", True, ["o_orderkey", "cents"]),
+                ("v2", False, ["o_orderkey", "cents", "channel"])):
+            rows.map_batches(
+                lambda t, v=is_v1, c=cols:
+                    t.filter(pc.equal(t["is_v1"], v)).select(c),
+                batch_format="pyarrow",
+            ).write_parquet(os.path.join(tmp, name))
 
     d = cache.build_once(
         cache.EXPORT_ROOT,

@@ -9,8 +9,9 @@ main/kd.c:28 / main/main.c:26-47, becomes per-worker warm state):
 
 - ``OcrSpanStage``   — rows are exploded spans ``(doc_id, kind, text,
                        media_ref, offset)``; media rows get OCR'd, text
-                       rows pass through untouched.  The flagship runs it
-                       as a task pool through :func:`make_span_ocr_fn`.
+                       rows pass through untouched.  The flagship calls
+                       it inside its per-batch task through
+                       :func:`make_span_ocr_fn`.
 - ``GlyphDumpStage`` — the -T per-glyph feature dump over the same rows.
 """
 
@@ -114,7 +115,9 @@ def _spec_fingerprint(kwargs: dict) -> str:
 
 
 def make_span_ocr_fn(kwargs: dict):
-    """Task-pool form of :class:`OcrSpanStage`: the flagship's scorer.
+    """Task-pool form of :class:`OcrSpanStage`: the scorer step that
+    ``ocr_documents``' one per-batch task calls between the explode and
+    the reassembly.
 
     An actor pool pays a measured 3.5-6 s spin-up per EXECUTION on a
     32-cpu node (31 fresh actor processes), while Ray reuses warm

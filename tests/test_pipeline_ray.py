@@ -51,6 +51,27 @@ def test_span_sequence_equality(ray_session, golden, num_blocks):
     assert got == want
 
 
+def test_plan_is_one_map_per_document_batch(ray_session, golden):
+    """The flagship plan is ``FromArrow → Repartition → MapBatches(
+    ocr_span_batch)``: explode, score and reassemble share one task per
+    document batch, with no ``Sort`` or shuffle barrier."""
+    import ray.data as rd
+
+    from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
+
+    docs, _ = golden
+    out = ocr_documents(rd.from_arrow(docs), concurrency=2, batch_size=8,
+                        num_blocks=4)
+    names, todo = [], [out._logical_plan.dag]
+    while todo:
+        op = todo.pop()
+        names.append(op.name)
+        todo.extend(op.input_dependencies)
+    assert names == ["MapBatches(ocr_span_batch)", "Repartition",
+                     "FromArrow"]
+    assert "Sort" not in names
+
+
 def test_span_sequence_equality_trained_scorer(ray_session):
     """The trained-scorer path on the flagship plan: a broadcast dense
     scorer (``state_ref``) through ``ocr_documents`` gives the span
@@ -91,14 +112,17 @@ def test_span_sequence_equality_trained_scorer(ray_session):
 def test_exploded_roundtrip_schema(ray_session, golden):
     import ray.data as rd
 
-    from tensorflow_ocr_ray.pipelines.ocr_pipeline import (
-        EXPLODED_SCHEMA,
-        explode_documents,
-    )
+    from tensorflow_ocr_ray.pipelines.ocr_pipeline import explode_documents
 
     docs, _ = golden
     flat = explode_documents(docs)
-    assert flat.schema.equals(EXPLODED_SCHEMA)
+    assert flat.schema.equals(pa.schema([
+        ("doc_id", pa.string()),
+        ("kind", pa.string()),
+        ("text", pa.string()),
+        ("media_ref", pa.string()),
+        ("offset", pa.int32()),
+    ]))
     n_spans = sum(len(r["spans"]) for r in docs.to_pylist())
     assert flat.num_rows == n_spans
 
@@ -169,9 +193,9 @@ def test_checkpoint_reruns_on_fingerprint_change(ray_session, tmp_path):
 
 
 def test_skewed_span_counts(ray_session):
-    """Skew plan: a 40-span document among 1-span documents — the explode +
-    repartition spreads span rows evenly and reassembly restores every
-    sequence (the exploded plan's reason to exist)."""
+    """Skew: a 40-span document among 1-span documents — the giant
+    document is exploded, scored and reassembled inside one task, and
+    every sequence comes back whole."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -210,9 +234,11 @@ def test_skewed_span_counts(ray_session):
     assert len(got["doc-heavy"]) == 40
 
 
-def test_zero_span_documents_survive(ray_session):
+@pytest.mark.parametrize("batch_size", [4, 1])
+def test_zero_span_documents_survive(ray_session, batch_size):
     """A document with an empty spans list must round-trip the exploded
-    plan (sentinel row), not silently disappear."""
+    plan (sentinel row), not silently disappear — also when a batch holds
+    nothing but the empty document (``batch_size=1``)."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -228,7 +254,8 @@ def test_zero_span_documents_survive(ray_session):
         ],
         schema=DOCUMENTS_SCHEMA,
     )
-    out = ocr_documents(rd.from_arrow(docs), concurrency=1, batch_size=4)
+    out = ocr_documents(rd.from_arrow(docs), concurrency=1,
+                        batch_size=batch_size)
     got = _span_seq(pa.Table.from_pandas(out.to_pandas()))
     assert got == {
         "doc-empty": [],
@@ -322,8 +349,9 @@ def test_corrupt_compressed_payload_yields_empty_not_crash(ray_session):
 
 def test_exploded_plan_handles_span_count_skew(ray_session):
     """One 120-span document among 1-span documents (pathological span
-    skew): the explode→repartition→reassemble round trip preserves every
-    document's exact span sequence."""
+    skew): the giant document is scored inside one task, not spread by a
+    span repartition, and the explode→score→reassemble round trip
+    preserves every document's exact span sequence."""
     import pyarrow as pa
 
     from tensorflow_ocr_ray.fixtures import SPAN_SCHEMA
