@@ -1910,6 +1910,21 @@ def _webtier(name: str):
     return run
 
 
+# Queries with no DuckDB oracle: their output comes from OCR, trained
+# models, media codecs or sampled text that SQL cannot re-derive, so the
+# oracle sweep checks only that they run and how many rows they return.
+# Every other query must have an ``oracle_sql()`` entry.
+ROWS_ONLY = frozenset({
+    "bpe_fertility_by_lang", "bpe_learn_merges", "bpe_tokenize_count",
+    "extract_interleaved", "media_audio_features", "media_caption_pairs",
+    "media_pdf_pages", "ocr_cnn_scorer", "ocr_dense_scorer",
+    "ocr_extract_exploded", "ocr_extract_flood",
+    "ocr_extract_postprocessed", "ocr_glyph_stats", "ocr_glyph_stream",
+    "ocr_lineage_manifest", "span_kind_transitions", "tf_agreement",
+    "tf_dense_predictions",
+})
+
+
 def queries() -> dict[str, Callable[[str], Any]]:
     from tensorflow_ocr_ray.functions.textstats import (
         doc_stats_batch,

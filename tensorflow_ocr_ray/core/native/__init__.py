@@ -1,9 +1,12 @@
-"""Native page kernels: ``kernels.c`` built with the system C compiler.
+"""Native kernels: ``kernels.c`` built with the system C compiler.
 
+The library holds the page kernels (G4 and TIFF-LZW decode, the page
+prefix sum) and the block scan of the html boilerplate strip.
 ``load()`` returns the kernels, or ``None`` when they cannot be had, in
 which case callers run their Python reference implementations
 (``ccitt.decode_g4_py``, ``tiff_lzw.lzw_decode_py``,
-``segment.prefix_sum_2d_py``), which produce the same output.
+``segment.prefix_sum_2d_py``, ``html_extract.extract_main_content_py``),
+which produce the same output.
 
 Nothing happens at import.  The first ``load()`` in a process compiles
 ``kernels.c`` with ``cc`` into the user cache directory, under a name keyed
@@ -12,8 +15,8 @@ library is written to a temporary name and ``os.replace``d into place, so
 processes that build at the same time never see a partial file.  No
 compiler, a failed build or a failed load all mean ``None``.
 
-The library allocates nothing: every buffer is a numpy array allocated
-here, and its size and dtype are fixed here before a pointer is passed.
+The library allocates nothing: every buffer is allocated here, and its
+size and type are fixed here before a pointer is passed.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ _BUILD_TIMEOUT_S = 120
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
+# html spans up to this many bytes reuse pooled scratch buffers; longer
+# ones get buffers of their own that are freed after the call
+_HTML_SCRATCH_CAP = 1 << 16
 
 
 def _find_compiler() -> str | None:
@@ -105,7 +111,12 @@ class Kernels:
         lib.lzw_decode.restype = _I64
         lib.prefix_sum_2d.argtypes = [_P, _I64, _I64, _P]
         lib.prefix_sum_2d.restype = None
+        lib.html_blocks.argtypes = [ctypes.c_char_p, _I64, _P, _P, _P, _I64]
+        lib.html_blocks.restype = _I64
         self._lib = lib
+        # free list of _html_scratch(_HTML_SCRATCH_CAP); a caller pops
+        # one, so threads never share scratch
+        self._html_scratch: list = []
 
     def decode_g4(self, data: bytes, width: int, height: int,
                   white: np.ndarray, black: np.ndarray,
@@ -170,3 +181,42 @@ class Kernels:
         out = np.empty((h + 1, w + 1), dtype=np.int32)
         self._lib.prefix_sum_2d(image.ctypes.data, h, w, out.ctypes.data)
         return out
+
+    def html_blocks(self, html: bytes) -> tuple[list[str], list[int]]:
+        """The non-blank blocks of one ASCII html span without NUL bytes,
+        as (texts, link character counts): the block loop of
+        ``html_extract.extract_main_content_py`` before unescape and the
+        gate."""
+        n = len(html)
+        pooled = n <= _HTML_SCRATCH_CAP
+        try:
+            scratch = self._html_scratch.pop() if pooled else None
+        except IndexError:  # pool empty
+            scratch = None
+        if scratch is None:
+            scratch = _html_scratch(_HTML_SCRATCH_CAP if pooled else n)
+        _, addrs, out, links = scratch
+        w = self._lib.html_blocks(html, n, *addrs, len(links))
+        if w < 0:  # unreachable: links holds n // 4 + 2 blocks
+            raise RuntimeError("html_blocks: block buffer overflow")
+        texts = out[:w].decode("ascii").split("\0")
+        texts.pop()  # every block ends in a NUL
+        counts = links[:len(texts)]
+        if pooled:
+            self._html_scratch.append(scratch)
+        return texts, counts
+
+
+def _html_scratch(size: int) -> tuple:
+    """(owner, (work, out, links) addresses, out, links) for spans of up
+    to ``size`` bytes, carved from one ``np.empty`` block: pages the
+    kernel never writes are never touched, so a large span costs no
+    up-front zeroing."""
+    nlinks = size // 4 + 2
+    owner = np.empty(8 * nlinks + 2 * (size + 1), dtype=np.uint8)
+    links_at = owner.ctypes.data  # 8-aligned: links go first
+    out_at = links_at + 8 * nlinks
+    work_at = out_at + size + 1
+    return (owner, (work_at, out_at, links_at),
+            (ctypes.c_char * (size + 1)).from_address(out_at),
+            (_I64 * nlinks).from_address(links_at))

@@ -1,9 +1,11 @@
 """HTML main-content extraction — boilerplate strip via DOM-block
 heuristics (the extraction tier's other modality next to OCR).
 
-Readability-lite, pure regex/str (no HTML lib in this container):
+Readability-lite, regex/str and one C scan (no HTML lib in this
+container):
 
-1. drop <script>/<style>/<template>/<noscript> subtrees and comments;
+1. drop <head>/<script>/<style>/<template>/<noscript> subtrees and
+   comments;
 2. split the remaining markup into text blocks at block-element
    boundaries (p, div, article, section, li, td, h1-h6, blockquote);
 3. score each block: text length vs LINK DENSITY (fraction of the
@@ -12,9 +14,12 @@ Readability-lite, pure regex/str (no HTML lib in this container):
 4. keep blocks with enough text and low link density; entity-unescape
    and whitespace-collapse the survivors.
 
-Runs as a vectorized-enough ``map_batches`` stage (compiled regexes,
-per-row pure-python scoring; no per-row object construction beyond
-strings).
+Steps 1-3 run in the native kernel library (``core/native``,
+``html_blocks``) as one C scan per span when it is built and the span is
+ASCII without NUL bytes; Python then unescapes only the blocks that hold
+an ``&``, applies the gate and joins.  ``extract_main_content_py`` is the
+regex reference: the fallback for every other span, and the oracle of
+the kernel's differential test.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import html as _html
 import re
 
 import pandas as pd
+
+from tensorflow_ocr_ray.core import native
 
 _COMMENT = re.compile(r"<!--.*?-->", re.S)
 # head joins the dropped subtrees: title/meta/style/script residue is
@@ -57,6 +64,28 @@ def extract_main_content(
     html: str, min_len: int = 25, max_link_density: float = 0.33
 ) -> str:
     """Boilerplate-stripped main text of one HTML document."""
+    kernels = native.load()
+    if kernels is None or not html.isascii() or "\x00" in html:
+        return extract_main_content_py(html, min_len, max_link_density)
+    kept: list[str] = []
+    for text, link_chars in zip(*kernels.html_blocks(html.encode())):
+        if "&" in text:
+            # unescape never lengthens a non-empty text nor empties it,
+            # so a block that fails the gate before it fails after it
+            if len(text) < min_len or link_chars / len(text) > \
+                    max_link_density:
+                continue
+            text = _html.unescape(text)
+        density = link_chars / len(text) if text else 1.0
+        if len(text) >= min_len and density <= max_link_density:
+            kept.append(text)
+    return "\n".join(kept)
+
+
+def extract_main_content_py(
+    html: str, min_len: int = 25, max_link_density: float = 0.33
+) -> str:
+    """Regex reference of :func:`extract_main_content`."""
     s = _COMMENT.sub(" ", html)
     s = _DROP_SUBTREE.sub(" ", s)
     kept: list[str] = []

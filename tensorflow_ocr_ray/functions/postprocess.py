@@ -123,6 +123,11 @@ def armenian_transcribe(text: str) -> str:
     return "\n".join(out_lines)
 
 
+def armenian_post(text: str) -> str:
+    """armenian.post.pl:17-21 — every ``▯`` (U+25AF) becomes a space."""
+    return text.replace("\u25af", " ")
+
+
 _ETHIOPIC_PUNCT = "፡።፣፤፥፦፧፨"
 
 
@@ -158,6 +163,7 @@ _REGISTRY: dict[str, Callable[[str], str]] = {
     "fixutf8": fix_utf8,
     "fixsholem": fix_sholem,
     "armenian": armenian_transcribe,
+    "armenian_post": armenian_post,
     "geez": geez_post,
     "raismann": raismann_post,
 }

@@ -8,8 +8,9 @@ scanned-page payloads, plain ``text`` spans are already clean.  One
 pipeline extracts everything:
 
 - ``html``  → DOM-block boilerplate strip (``functions/html_extract``,
-  readability-style link-density heuristics) — a cheap vectorized-enough
-  task stage right after the explode;
+  readability-style link-density heuristics), one call per span whose
+  block scan runs in the native kernel library, right after the
+  explode;
 - ``media`` → the OCR scorer stage (segmentation → kNN/CNN classify →
   line assembly), the heavy stateful stage (reference recognition path,
   ``main/ocr.c``);
@@ -21,9 +22,9 @@ the plan is :func:`ocr_documents`'s with one extra step inside its
 per-batch task (explode → strip → score → reassemble), so everything
 measured about the flagship applies unchanged.
 
-Scale note: the strip is pure per-string regex work with no state, so
-it costs task time in the same task as the scorer; html-heavy corpora
-shift time within that task, never into a shuffle.
+Scale note: the strip is per-string work with no state, so it costs
+task time in the same task as the scorer; html-heavy corpora shift time
+within that task, never into a shuffle.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ def strip_html_spans(batch: pa.Table) -> pa.Table:
     passes through byte-identical.
 
     The mask is Arrow-vectorized; only the html rows' strings cross into
-    Python (the regex extractor is inherently per-string, like the OCR
-    decode it sits next to)."""
+    Python, and each is stripped by one ``extract_main_content`` call
+    (a C block scan per span, like the OCR decode it sits next to)."""
     mask = pc.equal(batch.column("kind"), HTML_KIND)
     mask_np = mask.to_numpy(zero_copy_only=False)
     if not mask_np.any():

@@ -18,6 +18,7 @@ main/kd.c:28 / main/main.c:26-47, becomes per-worker warm state):
 from __future__ import annotations
 
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from tensorflow_ocr_ray.config import OcrConfig
 from tensorflow_ocr_ray.core.page import ocr_payload
@@ -107,6 +108,17 @@ class _OcrBase:
 _WORKER_STAGE_CACHE: dict = {}
 
 
+def _worker_stage(key: str, kwargs: dict) -> "OcrSpanStage":
+    """This process's stage for ``key``, built on first use.  A
+    module-level function, so cloudpickle ships it by reference and every
+    unpickled scorer closure shares this module's cache (a closure that
+    read ``_WORKER_STAGE_CACHE`` itself would carry a copy of it)."""
+    st = _WORKER_STAGE_CACHE.get(key)
+    if st is None:
+        st = _WORKER_STAGE_CACHE.setdefault(key, OcrSpanStage(**kwargs))
+    return st
+
+
 def _spec_fingerprint(kwargs: dict) -> str:
     """Deterministic per-session key for a stage spec.  repr() covers
     ObjectRefs (hex id, stable within a session) and OcrConfig
@@ -134,27 +146,30 @@ def make_span_ocr_fn(kwargs: dict):
     key = _spec_fingerprint(kwargs)
 
     def ocr_span_batch(batch: pa.Table) -> pa.Table:
-        st = _WORKER_STAGE_CACHE.get(key)
-        if st is None:
-            st = _WORKER_STAGE_CACHE.setdefault(key, OcrSpanStage(**kwargs))
-        return st(batch)
+        return _worker_stage(key, kwargs)(batch)
 
     return ocr_span_batch
 
 
 class OcrSpanStage(_OcrBase):
-    """Fill ``text`` for media rows of an exploded span batch."""
+    """Fill ``text`` for media rows of an exploded span batch.  Only the
+    media rows' refs cross into Python; every other row keeps its text
+    as is, and a batch without media rows is returned unchanged."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        kinds = batch.column("kind").to_pylist()
-        refs = batch.column("media_ref").to_pylist()
-        texts = batch.column("text").to_pylist()
-        out = [
-            self._ocr_ref(ref) if kind == "media" else text
-            for kind, ref, text in zip(kinds, refs, texts)
-        ]
+        is_media = pc.fill_null(
+            pc.equal(batch.column("kind"), "media"), False
+        ).combine_chunks()
+        if not pc.any(is_media).as_py():
+            return batch
+        refs = batch.column("media_ref").filter(is_media).to_pylist()
+        text = batch.column("text").combine_chunks()
+        scored = pa.array([self._ocr_ref(ref) for ref in refs],
+                          type=text.type)
         i = batch.schema.get_field_index("text")
-        return batch.set_column(i, "text", pa.array(out, type=pa.string()))
+        return batch.set_column(
+            i, "text", pc.replace_with_mask(text, is_media, scored)
+        )
 
 
 class GlyphDumpStage(_OcrBase):

@@ -1,17 +1,20 @@
-"""Native page kernels against their Python references.
+"""Native kernels against their Python references.
 
 Each native kernel (``core/native/kernels.c``) must match its ``_py``
 reference exactly: equal output, or a ``ValueError`` with the same
-message from both.  Inputs are valid streams (round-tripped random
-bitmaps and bytes, and hand-packed LZW code sequences that fill the
-table without a Clear), truncated streams and bit-flipped streams.  The
-last test hides the compiler, or makes the build fail, and checks that
-the public decoders still return the same pixels through the Python path.
+message from both.  Decoder inputs are valid streams (round-tripped
+random bitmaps and bytes, and hand-packed LZW code sequences that fill
+the table without a Clear), truncated streams and bit-flipped streams.
+The html strip is compared with ``extract_main_content_py`` on generated
+tag soup under both gates.  The last test hides the compiler, or makes
+the build fail, and checks that the public functions still return the
+same output through the Python path.
 """
 
 from __future__ import annotations
 
 import shutil
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tensorflow_ocr_ray.core import ccitt, native, segment, tiff_lzw
+from tensorflow_ocr_ray.functions import html_extract
 
 KERNELS = native.load()
 needs_kernels = pytest.mark.skipif(
@@ -206,6 +210,104 @@ def test_prefix_sum_native_matches_python(h, w, seed, dtype, transpose):
     assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
+# -------------------------------------------------------------- html strip
+
+_NAMES = ["p", "div", "li", "td", "h1", "h6", "h7", "body", "html", "nav",
+          "blockquote", "a", "b", "pre", "abbr", "link", "headx", "head",
+          "script", "style", "template", "noscript", "br", "a_", "p-x"]
+_WS = " \t\n\v\f\r\x1c\x1d\x1e\x1f"
+
+
+@st.composite
+def _tag(draw):
+    name = "".join(c.upper() if draw(st.booleans()) else c
+                   for c in draw(st.sampled_from(_NAMES)))
+    close = draw(st.sampled_from(["", "/"]))
+    attrs = draw(st.sampled_from(["", " x=1", "\n", " href='/a b'", " <i"]))
+    end = draw(st.sampled_from([">", ">", " >", "\v>", ""]))
+    return f"<{close}{name}{attrs}{end}"
+
+
+_ATOMS = st.one_of(
+    _tag(),
+    st.sampled_from(["<!--", "-->", "<!-->", "<>", "<", ">", "</", "</a",
+                     "&amp;", "&copy", "&#x27;", "&#32;", "&", "&lt;b&gt;"]),
+    st.text(alphabet="abcXYZ019_-/!;" + _WS, min_size=1, max_size=12),
+)
+_SOUP = st.lists(_ATOMS, max_size=40).map("".join)
+_GATES = st.sampled_from([(0, 0.0), (1, 0.33), (25, 0.33), (0, 1.0),
+                          (25, 1.0)])
+
+
+@needs_kernels
+@settings(max_examples=600, deadline=None)
+@given(html=_SOUP, gate=_GATES)
+@example(html="<p>x<a href=1>y</a", gate=(1, 1.0))
+@example(html="<div><a>one<A>two</a> three</a>end</div>", gate=(0, 1.0))
+@example(html="<script>a</scripT \x1c><p>b", gate=(1, 0.33))
+@example(html="<b>\x1f</b>", gate=(0, 1.0))
+def test_html_native_matches_python(html, gate):
+    assert html.isascii() and "\x00" not in html
+    got = html_extract.extract_main_content(html, *gate)
+    assert got == html_extract.extract_main_content_py(html, *gate)
+
+
+@needs_kernels
+@pytest.mark.parametrize("extra", ["\u00e9", "\x00", "\u017f", "\u212a"])
+def test_html_non_ascii_or_nul_takes_the_fallback(monkeypatch, extra):
+    calls = []
+    real = KERNELS.html_blocks
+    monkeypatch.setattr(KERNELS, "html_blocks",
+                        lambda b: calls.append(b) or real(b))
+    page = html_extract.wrap_in_boilerplate(1, "plain main text " * 3)
+    assert html_extract.extract_main_content(page, 1)
+    assert len(calls) == 1  # ASCII goes through the kernel
+    # under re.I U+017F folds to s (a <script> subtree is dropped) and
+    # U+212A to k (<blockquote> splits), which an ASCII scan cannot see
+    for html in (page + extra, f"<p>a<{extra}cript>b</{extra}cript>x",
+                 f"<p>x<bloc{extra}quote>y<a>k</a></p>"):
+        for gate in ((1, 0.33), (0, 1.0)):
+            assert html_extract.extract_main_content(html, *gate) == \
+                html_extract.extract_main_content_py(html, *gate)
+    assert len(calls) == 1
+
+
+@needs_kernels
+def test_html_scratch_is_never_shared_between_threads():
+    """The kernel runs without the GIL, so threads that shared a scratch
+    buffer would read each other's blocks."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    pages = [html_extract.wrap_in_boilerplate(i, f"main text {i} " * (i + 1))
+             for i in range(16)]
+    want = [html_extract.extract_main_content_py(p, 1) for p in pages]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(
+                lambda i: html_extract.extract_main_content(pages[i % 16], 1),
+                range(4000), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[i % 16] for i in range(4000)]
+
+
+@needs_kernels
+@pytest.mark.parametrize("unit", ["<script ", "<p>x <a ", "<!--", "<a></a",
+                                  "<", "<b", "<p>"])
+def test_html_native_is_linear_on_unclosed_openers(unit):
+    html = unit * (1_000_000 // len(unit))
+    t0 = time.perf_counter()
+    html_extract.extract_main_content(html, 1)
+    # the regexes rescan to the end from every opener: minutes on 1 MB
+    assert time.perf_counter() - t0 < 5.0
+    small = html[:4000]
+    assert html_extract.extract_main_content(small, 1) == \
+        html_extract.extract_main_content_py(small, 1)
+
+
 @pytest.mark.parametrize("compiler", [None, "false"],
                          ids=["no_compiler", "failing_compiler"])
 def test_no_compiler_falls_back_to_python(monkeypatch, tmp_path, compiler):
@@ -227,6 +329,10 @@ def test_no_compiler_falls_back_to_python(monkeypatch, tmp_path, compiler):
         seg = segment.PageSegmenter.__new__(segment.PageSegmenter)
         seg.image, seg._ps = img, None
         assert np.array_equal(seg._prefix(), segment.prefix_sum_2d_py(img))
+        page = html_extract.wrap_in_boilerplate(3, "main & <text> " * 4)
+        assert html_extract.extract_main_content(page, 1) == \
+            html_extract.extract_main_content_py(page, 1) == \
+            ("main & <text> " * 4).strip()
         assert not list(tmp_path.rglob("*.so*"))  # nothing built or left
     finally:
         native.load.cache_clear()

@@ -19,6 +19,16 @@ def _run_oracle(sql: str) -> pd.DataFrame:
     return con.execute(sql).fetchdf()
 
 
+def test_every_query_has_an_oracle_or_is_rows_only():
+    """The registry hygiene gate: each query has an oracle or is listed in
+    ROWS_ONLY (never both), so a new query cannot skip its oracle."""
+    import __ray_entry__ as e
+
+    oracles = set(e.oracle_sql())
+    assert set(e.queries()) == oracles | e.ROWS_ONLY
+    assert not oracles & e.ROWS_ONLY
+
+
 def test_minhash_verified_pairs_oracle(ray_session):
     import __ray_entry__ as e
 

@@ -421,3 +421,54 @@ def test_lance_seam_contract(ray_session, tmp_path):
             write_documents(ds, str(tmp_path / "t.lance"))
         # and no stray output dir was created by the failed writer
         assert not (tmp_path / "t.lance").exists()
+
+
+def _span_batch(kinds, texts, refs):
+    return pa.table({
+        "doc_id": ["d"] * len(kinds), "kind": kinds, "text": texts,
+        "media_ref": refs, "offset": pa.array(range(len(kinds)), pa.int32()),
+    })
+
+
+def test_unpickled_scorers_share_the_worker_stage_cache(monkeypatch):
+    """Every unpickled copy of the scorer closure (one per Ray task) finds
+    the stage its process already built, instead of a private cache."""
+    from ray import cloudpickle
+
+    from tensorflow_ocr_ray.stages import ocr_stages
+
+    monkeypatch.setattr(ocr_stages, "_WORKER_STAGE_CACHE", {})
+    built = []
+    init = ocr_stages.OcrSpanStage.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ocr_stages.OcrSpanStage, "__init__", counting_init)
+    blob = cloudpickle.dumps(ocr_stages.make_span_ocr_fn({}))
+    batch = _span_batch(["text"], ["hi"], [""])
+    for fn in (cloudpickle.loads(blob), cloudpickle.loads(blob)):
+        assert fn(batch).equals(batch)
+    assert len(built) == 1
+
+
+def test_span_stage_rewrites_only_media_rows(tmp_path):
+    """Text rows keep their exact values (nulls included) next to media
+    rows; a batch without media rows comes back as the same object."""
+    from tensorflow_ocr_ray.fixtures import payload_for_ref, truth_for_ref
+    from tensorflow_ocr_ray.stages.ocr_stages import OcrSpanStage
+    from tensorflow_ocr_ray.state.media import DirMediaStore
+
+    ref = "page-42-000007-0"
+    DirMediaStore.put(str(tmp_path), ref, payload_for_ref(ref))
+    stage = OcrSpanStage(media_spec={"kind": "dir", "path": str(tmp_path)})
+    texts = ["aé <b>", "", None, "tail"]
+    mixed = pa.concat_tables([
+        _span_batch(["text", "media"], texts[:2], ["", ref]),
+        _span_batch(["html", None], texts[2:], ["", None]),
+    ])
+    out = stage(mixed).column("text").to_pylist()
+    assert out == [texts[0], truth_for_ref(ref), None, "tail"]
+    text_only = _span_batch(["text", "html"], ["x", None], ["", ""])
+    assert stage(text_only) is text_only

@@ -56,6 +56,10 @@ def test_armenian_transcription():
     assert armenian_transcribe("abc") == "abc"  # non-Armenian untouched
 
 
+def test_armenian_post_blanks_placeholder_boxes():
+    assert get_postprocessor("armenian_post")("ա▯բ▯▯") == "ա բ  "
+
+
 def test_geez_postprocess():
     from tensorflow_ocr_ray.functions.postprocess import geez_post
 

@@ -1,7 +1,9 @@
 """Local replica of the driver's correctness gate.
 
 Runs every ``queries()`` entry at the given sf and compares row count +
-sorted-by-name column values against ``oracle_sql()`` via DuckDB.
+sorted-by-name column values against ``oracle_sql()`` via DuckDB.  A
+query without an oracle is reported by row count when it is listed in
+``__ray_entry__.ROWS_ONLY``, and counted as a FAIL otherwise.
 
 Usage: python tools/check_oracle.py [sf_dir] [query ...]
 """
@@ -145,10 +147,16 @@ def main() -> int:
             print(f"{status} {name}: rows={len(mine)} {msg} ({elapsed:.1f}s)")
             results[name] = {"status": status.strip(), "rows": len(mine),
                              "msg": msg, "sec": round(elapsed, 1)}
-        else:
+        elif name in entry.ROWS_ONLY:
             print(f"rows {name}: rows={len(mine)} (no oracle) ({elapsed:.1f}s)")
             results[name] = {"status": "rows_only", "rows": len(mine),
                              "sec": round(elapsed, 1)}
+        else:
+            print(f"FAIL {name}: no oracle and not in ROWS_ONLY "
+                  f"({elapsed:.1f}s)")
+            failures += 1
+            results[name] = {"status": "FAIL", "rows": len(mine),
+                             "err": "no oracle and not in ROWS_ONLY"}
     ray.shutdown()
     if json_out:
         import json
