@@ -7,7 +7,9 @@ Three parts, shared by every query family that caches:
 - :func:`build_once` publishes a directory once per name: build into a
   scratch dir, mark it ``_SUCCESS``, rename it into place.  On-disk
   indexes and exports carry the input fingerprint in their name, so a
-  rewritten table gets a new directory instead of a stale one.
+  rewritten table gets a new directory instead of a stale one, and
+  publishing it removes the directories its table's older contents
+  left behind.
 - :func:`memo` keeps one in-process value per ``(name, params)``
   together with the fingerprint of its input.  A changed fingerprint
   rebuilds the entry and releases the old value, so a rewritten table
@@ -38,15 +40,29 @@ def table_fingerprint(sf_dir: str, table: str) -> str:
     ).hexdigest()[:12]
 
 
-def build_once(root: str, name: str,
-               build: Callable[[str], object]) -> str:
+def build_once(root: str, name: str, build: Callable[[str], object],
+               source: tuple[str, str] | None = None) -> str:
     """Return ``root/name``, running ``build(tmp)`` first unless a
     finished copy exists.  ``build`` fills a fresh scratch directory;
     only after it returns is the directory marked ``_SUCCESS`` and
     renamed into place, so readers never see a partial build and a
     build that raises publishes nothing.  Concurrent builders race
     benignly: the contents are deterministic, and the loser of the
-    rename discards its own copy."""
+    rename discards its own copy.
+
+    ``source``, when given, is the ``(sf_dir, table)`` the directory is
+    built from, and ``name`` is a template whose ``{fp}`` becomes that
+    table's fingerprint.  The directory records its source and template
+    in ``_SOURCE``; publishing it removes every other directory under
+    ``root`` with the same record, i.e. the ones built from the same
+    table file under an older fingerprint.  Directories built from
+    other sf dirs or under other templates stay."""
+    record = None
+    if source is not None:
+        sf_dir, table = source
+        record = (f"{os.path.abspath(sf_dir)}/{table}.parquet\n"
+                  f"{name}\n")
+        name = name.format(fp=table_fingerprint(sf_dir, table))
     d = os.path.join(root, name)
     if os.path.exists(os.path.join(d, "_SUCCESS")):
         return d
@@ -55,6 +71,9 @@ def build_once(root: str, name: str,
     os.makedirs(tmp)
     try:
         build(tmp)
+        if record is not None:
+            with open(os.path.join(tmp, "_SOURCE"), "w") as f:
+                f.write(record)
         with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
             f.write("ok")
     except BaseException:
@@ -64,7 +83,24 @@ def build_once(root: str, name: str,
         os.rename(tmp, d)
     except OSError:  # another process won the race; its copy is equal
         shutil.rmtree(tmp, ignore_errors=True)
+    if record is not None:
+        _remove_superseded(root, name, record)
     return d
+
+
+def _remove_superseded(root: str, name: str, record: str) -> None:
+    """Remove the published siblings of ``root/name`` whose ``_SOURCE``
+    equals ``record``."""
+    for other in os.listdir(root):
+        if other == name:
+            continue
+        try:
+            with open(os.path.join(root, other, "_SOURCE")) as f:
+                if f.read() != record:
+                    continue
+        except OSError:  # not a build-once directory with a source
+            continue
+        shutil.rmtree(os.path.join(root, other), ignore_errors=True)
 
 
 _ENTRIES: dict[tuple, tuple[Hashable, object]] = {}

@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from tensorflow_ocr_ray.config import GRID, TUPLELENGTH
+from tensorflow_ocr_ray.core import native
 
 
 def lroundf(x: float) -> int:
@@ -149,7 +150,21 @@ def fill_tuple(
     return tup
 
 
-def fill_tuples_vectorized(
+def fill_tuples(
+    page_prefix: np.ndarray,
+    boxes: np.ndarray,
+    line_heights: np.ndarray,
+    fallback_glyph_height: int,
+) -> np.ndarray:
+    """fillTuple for N path-free glyphs at once: the native
+    ``glyph_tuples`` kernel, bit-identical to ``fill_tuples_py``, which
+    runs instead when the kernels are unavailable."""
+    kernels = native.load()
+    fill = fill_tuples_py if kernels is None else kernels.glyph_tuples
+    return fill(page_prefix, boxes, line_heights, fallback_glyph_height)
+
+
+def fill_tuples_py(
     page_prefix: np.ndarray,
     boxes: np.ndarray,
     line_heights: np.ndarray,
@@ -157,7 +172,8 @@ def fill_tuples_vectorized(
 ) -> np.ndarray:
     """fillTuple for N path-free glyphs at once — same arithmetic as
     ``fill_tuple`` (float32 grid deltas, lroundf edges, %0.3f round-trip,
-    x3 trailing weights), one numpy dispatch per page instead of per glyph.
+    x3 trailing weights), one numpy dispatch per page instead of per
+    glyph; the reference for the native ``glyph_tuples`` kernel.
 
     ``boxes`` is (N, 4) int64 [left, right, top, bottom] (right/bottom
     exclusive); ``page_prefix`` is the (H+1, W+1) prefix sum of image != 0.

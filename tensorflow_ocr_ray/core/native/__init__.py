@@ -1,12 +1,20 @@
 """Native kernels: ``kernels.c`` built with the system C compiler.
 
-The library holds the page kernels (G4 and TIFF-LZW decode, the page
-prefix sum) and the block scan of the html boilerplate strip.
+The library holds the page kernels and the block scan of the html
+boilerplate strip.  Each kernel has a Python reference implementation
+that produces the same output:
+
+- ``decode_g4``: ``ccitt.decode_g4_py``;
+- ``lzw_decode``: ``tiff_lzw.lzw_decode_py``;
+- ``prefix_sum_2d``: ``segment.prefix_sum_2d_py``;
+- ``xy_cut`` (the findCells walk of one column and insertGlyph's line
+  formation): ``segment.PageSegmenter.find_cells_py``;
+- ``glyph_tuples`` (the feature tuples of path-free glyphs):
+  ``features.fill_tuples_py``;
+- ``html_blocks``: ``html_extract.extract_main_content_py``.
+
 ``load()`` returns the kernels, or ``None`` when they cannot be had, in
-which case callers run their Python reference implementations
-(``ccitt.decode_g4_py``, ``tiff_lzw.lzw_decode_py``,
-``segment.prefix_sum_2d_py``, ``html_extract.extract_main_content_py``),
-which produce the same output.
+which case callers run the references.
 
 Nothing happens at import.  The first ``load()`` in a process compiles
 ``kernels.c`` with ``cc`` into the user cache directory, under a name keyed
@@ -24,6 +32,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import itertools
 import os
 import platform
 import shutil
@@ -32,7 +41,9 @@ from pathlib import Path
 import numpy as np
 
 _SOURCE = Path(__file__).with_name("kernels.c")
-_CFLAGS = ["-O2", "-std=c99", "-shared", "-fPIC"]
+# the tuple kernel needs strict IEEE arithmetic: no -ffast-math, no FMA
+_CFLAGS = ["-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off"]
+_LDLIBS = ["-lm"]
 _BUILD_TIMEOUT_S = 120
 
 _P = ctypes.c_void_p
@@ -53,7 +64,7 @@ def _cache_dir() -> Path:
 
 def _library_path() -> Path:
     key = hashlib.sha256(_SOURCE.read_bytes())
-    key.update(" ".join(_CFLAGS + [platform.machine()]).encode())
+    key.update(" ".join(_CFLAGS + _LDLIBS + [platform.machine()]).encode())
     return _cache_dir() / f"kernels-{key.hexdigest()[:16]}.so"
 
 
@@ -72,7 +83,7 @@ def _build(path: Path) -> bool:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *_CFLAGS, "-o", tmp, str(_SOURCE)],
+            [cc, *_CFLAGS, "-o", tmp, str(_SOURCE), *_LDLIBS],
             capture_output=True, timeout=_BUILD_TIMEOUT_S,
         )
         if proc.returncode != 0:
@@ -111,6 +122,11 @@ class Kernels:
         lib.lzw_decode.restype = _I64
         lib.prefix_sum_2d.argtypes = [_P, _I64, _I64, _P]
         lib.prefix_sum_2d.restype = None
+        lib.xy_cut.argtypes = [_P, _I64, _I64, _P, _P, _P, _P, _I64, _P, _P,
+                               _P, _I64, _P, _P, _P]
+        lib.xy_cut.restype = ctypes.c_int
+        lib.glyph_tuples.argtypes = [_P, _I64, _I64, _P, _P, _I64, _I64, _P]
+        lib.glyph_tuples.restype = _I64
         lib.html_blocks.argtypes = [ctypes.c_char_p, _I64, _P, _P, _P, _I64]
         lib.html_blocks.restype = _I64
         self._lib = lib
@@ -182,6 +198,69 @@ class Kernels:
         self._lib.prefix_sum_2d(image.ctypes.data, h, w, out.ctypes.data)
         return out
 
+    def xy_cut(self, prefix: np.ndarray, region: tuple, params: tuple,
+               stats: tuple) -> tuple[list, list, list, int]:
+        """One column of ``segment.PageSegmenter.find_cells_py``: the
+        findCells walk of ``region`` (top, bottom, left, right) over the
+        page prefix sum, and insertGlyph's lines.  ``params`` are the
+        min glyph width, height and area, the max glyph width and height
+        and ``some_dark``; ``stats`` are the page's left margin, right
+        margin, total width, total height, glyph count, glyph width and
+        glyph height before the walk.
+
+        Returns (stats after the walk, glyph boxes (left, right, top,
+        bottom) line by line in page order, (top, bottom, left border,
+        right border, glyph count) per line, and the height of the glyph
+        that stopped the walk as too tall, or 0)."""
+        h, w = _check_prefix(prefix)
+        # region (4) | params (6) | stats (7) | sizes (3)
+        head = np.array([*region, *params, *stats, 0, 0, 0], dtype=np.int64)
+        at = head.ctypes.data
+        box_cap, stack_cap = 256, h + w + 16
+        while True:
+            # stack | glyphs | lines | line order | out boxes | out lines
+            offs = list(itertools.accumulate(
+                (5 * stack_cap, 5 * box_cap, 6 * box_cap, box_cap,
+                 4 * box_cap, 5 * box_cap), initial=0))
+            work = np.empty(offs[-1], dtype=np.int64)
+            ptr = [work.ctypes.data + 8 * o for o in offs[:-1]]
+            rc = self._lib.xy_cut(
+                prefix.ctypes.data, h, w, at, at + 8 * 4, at + 8 * 10,
+                ptr[0], stack_cap, ptr[1], ptr[2], ptr[3], box_cap,
+                ptr[4], ptr[5], at + 8 * 17,
+            )
+            if rc == 2:  # box buffer full
+                box_cap *= 4
+            elif rc == 3:  # stack full
+                stack_cap *= 2
+            else:
+                break
+        n, nlines, too_tall = head[17:20].tolist()
+        boxes = work[offs[4]:offs[4] + 4 * n].reshape(n, 4).tolist()
+        lines = work[offs[5]:offs[5] + 5 * nlines].reshape(nlines, 5).tolist()
+        return head[10:17].tolist(), boxes, lines, too_tall
+
+    def glyph_tuples(self, prefix: np.ndarray, boxes: np.ndarray,
+                     line_heights: np.ndarray,
+                     fallback_height: int) -> np.ndarray:
+        """``features.fill_tuples_py``: (n, 27) float32 tuples of n
+        path-free boxes (left, right, top, bottom), each non-empty and
+        inside the page."""
+        h, w = _check_prefix(prefix)
+        boxes = np.ascontiguousarray(boxes, dtype=np.int64)
+        line_heights = np.ascontiguousarray(line_heights, dtype=np.int64)
+        n = len(boxes)
+        if boxes.shape != (n, 4) or line_heights.shape != (n,):
+            raise ValueError("boxes must be (n, 4) with n line heights")
+        out = np.empty((n, 27), dtype=np.float32)
+        rc = self._lib.glyph_tuples(
+            prefix.ctypes.data, h, w, boxes.ctypes.data,
+            line_heights.ctypes.data, n, fallback_height, out.ctypes.data,
+        )
+        if rc < 0:
+            raise ValueError("glyph box empty or outside the page")
+        return out
+
     def html_blocks(self, html: bytes) -> tuple[list[str], list[int]]:
         """The non-blank blocks of one ASCII html span without NUL bytes,
         as (texts, link character counts): the block loop of
@@ -205,6 +284,16 @@ class Kernels:
         if pooled:
             self._html_scratch.append(scratch)
         return texts, counts
+
+
+def _check_prefix(prefix: np.ndarray) -> tuple[int, int]:
+    """(h, w) of a page prefix sum, which the page kernels index
+    unchecked."""
+    if prefix.dtype != np.int32 or prefix.ndim != 2 or \
+            not prefix.flags.c_contiguous or 0 in prefix.shape:
+        raise ValueError("page prefix sum must be C-contiguous int32 "
+                         "(h + 1, w + 1)")
+    return prefix.shape[0] - 1, prefix.shape[1] - 1
 
 
 def _html_scratch(size: int) -> tuple:

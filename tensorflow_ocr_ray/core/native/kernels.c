@@ -1,17 +1,22 @@
 /* Native kernels: CCITT G4 (T.6) decode, TIFF-LZW decode, 2-D prefix
- * sum, and the block scan of the html boilerplate strip.
+ * sum, the XY-cut page walk with its line formation, the glyph feature
+ * tuples, and the block scan of the html boilerplate strip.
  *
  * Each page kernel is a line-for-line port of its Python reference
- * (ccitt.decode_g4_py, tiff_lzw.lzw_decode_py, segment.prefix_sum_2d_py):
- * the same bit reader, the same tables, the same error points, so the
- * output is bit-identical and every error the Python code raises is
- * reported here as a status code at the same place in the stream.  The
- * html scan fuses the regex passes of html_extract.extract_main_content_py
- * into one left-to-right scan with the same match semantics on ASCII
- * input.  The caller allocates every buffer; nothing here allocates or
- * touches Python.
+ * (ccitt.decode_g4_py, tiff_lzw.lzw_decode_py, segment.prefix_sum_2d_py,
+ * segment.PageSegmenter.find_cells_py, features.fill_tuples_py): the
+ * same bit reader, the same tables, the same error points, the same
+ * walk order and the same float32 arithmetic, so the output is
+ * bit-identical and every error the Python code raises is reported here
+ * as a status code at the same place.  The tuple arithmetic relies on
+ * strict IEEE float and double: build without -ffast-math and with
+ * -ffp-contract=off.  The html scan fuses the regex passes of
+ * html_extract.extract_main_content_py into one left-to-right scan with
+ * the same match semantics on ASCII input.  The caller allocates every
+ * buffer; nothing here allocates or touches Python.
  */
 
+#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -264,6 +269,434 @@ void prefix_sum_2d(const uint8_t *img, int64_t h, int64_t w, int32_t *out)
             dst[x + 1] = above[x + 1] + run;
         }
     }
+}
+
+/* ------------------------------------------------------------ XY-cut -- */
+
+/* One column of PageSegmenter.find_cells_py: the findCells walk over the
+ * page prefix sum (main/segment.c:278-382) plus insertGlyph's line
+ * formation (main/segment.c:160-274).  The walk keeps the Python stack
+ * discipline entry for entry, so glyphs are inserted in the same order
+ * and form the same lines.  Stack entries are (top, bottom, left, right,
+ * kind), bounds inclusive; kind says which scans the entry may skip. */
+
+enum {
+    XY_OK = 0,
+    XY_TOO_TALL = 1,    /* insertGlyph's abort(): sizes[2] = height */
+    XY_BOXES_FULL = 2,  /* more glyphs than box_cap */
+    XY_STACK_FULL = 3,  /* more pending regions than stack_cap */
+};
+
+enum {
+    XY_ANY = 0,
+    XY_ROWS_CLEAN = 1,  /* one row run of a row split: skip the row scan */
+    XY_COLS_CLEAN = 2,  /* one col run, already trimmed: skip the col scan */
+    XY_COL_RUN = 3,     /* one child of a col split (_process_col_runs) */
+};
+
+/* params */
+enum { XP_MIN_W, XP_MIN_H, XP_MIN_AREA, XP_MAX_W, XP_MAX_H, XP_SOME_DARK };
+/* stats, read and written back: the page stats insertGlyph keeps */
+enum {
+    XS_LEFT_MARGIN, XS_RIGHT_MARGIN, XS_TOTAL_WIDTH, XS_TOTAL_HEIGHT,
+    XS_COUNT, XS_GLYPH_WIDTH, XS_GLYPH_HEIGHT, XS_N
+};
+
+typedef struct {
+    const int32_t *ps; /* (h+1) x (w+1) */
+    int64_t stride;
+    const int64_t *p;  /* params */
+    int64_t st[XS_N];
+    int64_t *stack, sp, stack_cap;
+    /* glyphs in insertion order: left, right, top, bottom, next in line */
+    int64_t *glyph, n, box_cap;
+    /* lines by id: top, bottom, left border, right border, first glyph,
+     * count; order[] lists the ids in page order */
+    int64_t *line, *order, nlines;
+    int64_t bad_height;
+} xy_t;
+
+/* Ink in rows [r0, r1) x cols [c0, c1); empty ranges count 0. */
+static inline int64_t xy_ink(const xy_t *x, int64_t r0, int64_t r1,
+                             int64_t c0, int64_t c1)
+{
+    const int32_t *a = x->ps + r0 * x->stride, *b = x->ps + r1 * x->stride;
+    return (int64_t)b[c1] - a[c1] - b[c0] + a[c0];
+}
+
+/* Python's //, as insertGlyph's averages use it */
+static inline int64_t floor_div(int64_t a, int64_t b)
+{
+    int64_t q = a / b;
+    return (a % b != 0 && (a < 0) != (b < 0)) ? q - 1 : q;
+}
+
+static int xy_push(xy_t *x, int64_t top, int64_t bottom, int64_t left,
+                   int64_t right, int64_t kind)
+{
+    if (x->sp == x->stack_cap)
+        return XY_STACK_FULL;
+    int64_t *e = x->stack + 5 * x->sp++;
+    e[0] = top;
+    e[1] = bottom;
+    e[2] = left;
+    e[3] = right;
+    e[4] = kind;
+    return XY_OK;
+}
+
+/* insertGlyph: right/bottom exclusive. */
+static int xy_insert(xy_t *x, int64_t left, int64_t right, int64_t top,
+                     int64_t bottom)
+{
+    int64_t *st = x->st;
+    if (left < st[XS_LEFT_MARGIN])
+        st[XS_LEFT_MARGIN] = left;
+    if (right > st[XS_RIGHT_MARGIN])
+        st[XS_RIGHT_MARGIN] = right;
+    st[XS_TOTAL_WIDTH] += right - left;
+    st[XS_TOTAL_HEIGHT] += bottom - top;
+    if (bottom - top > x->p[XP_MAX_H]) {
+        x->bad_height = bottom - top;
+        return XY_TOO_TALL;
+    }
+    if (x->n == x->box_cap)
+        return XY_BOXES_FULL;
+    st[XS_COUNT]++;
+    st[XS_GLYPH_WIDTH] = floor_div(st[XS_TOTAL_WIDTH], st[XS_COUNT]);
+    st[XS_GLYPH_HEIGHT] = floor_div(st[XS_TOTAL_HEIGHT], st[XS_COUNT]);
+    int64_t g = x->n++;
+    int64_t *gb = x->glyph + 5 * g;
+    gb[0] = left;
+    gb[1] = right;
+    gb[2] = top;
+    gb[3] = bottom;
+    gb[4] = -1;
+    for (int64_t k = 0; k < x->nlines; k++) {
+        int64_t *ln = x->line + 6 * x->order[k];
+        if (ln[0] > bottom)
+            break; /* gone too far: a new line goes before this one */
+        if ((ln[0] <= top && top < ln[1]) || (ln[0] < bottom && bottom <= ln[1])
+            || (ln[0] >= top && ln[1] <= bottom)) {
+            if (top < ln[0])
+                ln[0] = top;
+            if (bottom > ln[1])
+                ln[1] = bottom;
+            if (left < ln[2])
+                ln[2] = left;
+            if (right > ln[3])
+                ln[3] = right;
+            /* before the first glyph that starts right of this one */
+            int64_t prev = -1, cur = ln[4];
+            while (cur >= 0 && x->glyph[5 * cur] <= left) {
+                prev = cur;
+                cur = x->glyph[5 * cur + 4];
+            }
+            gb[4] = cur;
+            if (prev < 0)
+                ln[4] = g;
+            else
+                x->glyph[5 * prev + 4] = g;
+            ln[5]++;
+            return XY_OK;
+        }
+    }
+    /* a new line, before the first line whose top is below this glyph */
+    int64_t pos = x->nlines;
+    for (int64_t k = 0; k < x->nlines; k++) {
+        if (x->line[6 * x->order[k]] > bottom) {
+            pos = k;
+            break;
+        }
+    }
+    int64_t id = x->nlines++;
+    memmove(x->order + pos + 1, x->order + pos,
+            (size_t)(id - pos) * sizeof(int64_t));
+    x->order[pos] = id;
+    int64_t *ln = x->line + 6 * id;
+    ln[0] = top;
+    ln[1] = bottom;
+    ln[2] = left;
+    ln[3] = right;
+    ln[4] = g;
+    ln[5] = 1;
+    return XY_OK;
+}
+
+/* Push the maximal runs of inked rows in [top, bottom] (ink counted over
+ * cols [c0, c1)) as (run, left, right, kind), top run first. */
+static int xy_push_row_runs(xy_t *x, int64_t top, int64_t bottom, int64_t c0,
+                            int64_t c1, int64_t left, int64_t right,
+                            int64_t kind)
+{
+    int64_t start = -1;
+    for (int64_t r = top; r <= bottom + 1; r++) {
+        int inked = r <= bottom && xy_ink(x, r, r + 1, c0, c1) > 0;
+        if (inked && start < 0)
+            start = r;
+        if (!inked && start >= 0) {
+            int rc = xy_push(x, start, r - 1, left, right, kind);
+            if (rc)
+                return rc;
+            start = -1;
+        }
+    }
+    return XY_OK;
+}
+
+/* One child of a column split (_process_col_runs): its rows [top, bottom]
+ * scanned over cols [lo, hi], both inclusive. */
+static int xy_col_run(xy_t *x, int64_t top, int64_t bottom, int64_t lo,
+                      int64_t hi)
+{
+    const int64_t *p = x->p;
+    int64_t first = -1, last = -1, runs = 0;
+    int prev = 0;
+    for (int64_t r = top; r <= bottom; r++) {
+        int inked = xy_ink(x, r, r + 1, lo, hi + 1) > 0;
+        if (inked) {
+            if (first < 0)
+                first = r;
+            last = r;
+            runs += !prev;
+        }
+        prev = inked;
+    }
+    /* an all-blank child keeps its full height, as argmax does */
+    int64_t t = first >= 0 ? first : top, b = last >= 0 ? last : bottom;
+    int64_t height = b - t + 1, width = hi - lo + 1;
+    if (width < p[XP_MIN_W] || height < p[XP_MIN_H]
+        || height * width < p[XP_MIN_AREA])
+        return XY_OK;
+    if (runs > 1)
+        return xy_push_row_runs(x, top, bottom, lo, hi + 1, lo, hi,
+                                XY_ROWS_CLEAN);
+    if (width > p[XP_MAX_W] || height - 1 > p[XP_MAX_H])
+        return xy_push(x, t, b, lo, hi, XY_COLS_CLEAN);
+    return xy_insert(x, lo, hi + 1, t, b + 1);
+}
+
+/* One region of the _run_stack walk. */
+static int xy_region(xy_t *x, int64_t h, int64_t w, int64_t top,
+                     int64_t bottom, int64_t left, int64_t right,
+                     int64_t kind)
+{
+    const int64_t *p = x->p;
+    /* off-image rows/cols are blank: clamp */
+    if (top < 0)
+        top = 0;
+    if (left < 0)
+        left = 0;
+    if (bottom > h - 1)
+        bottom = h - 1;
+    if (right > w - 1)
+        right = w - 1;
+    if (bottom < top || right < left)
+        return XY_OK;
+    int64_t top0 = top, bottom0 = bottom, left0 = left;
+    int col_gap = 0, row_gap = 0;
+    if (kind != XY_COLS_CLEAN) {
+        /* column ink over rows [top, bottom): findCells's bound */
+        int64_t first = -1, last = -1;
+        for (int64_t c = left; c <= right; c++) {
+            if (xy_ink(x, top, bottom, c, c + 1) > 0) {
+                if (first < 0)
+                    first = c;
+                else if (c - last > 1)
+                    col_gap = 1;
+                last = c;
+            }
+        }
+        if (first < 0)
+            return XY_OK;
+        left = first;
+        right = last;
+    }
+    if (kind != XY_ROWS_CLEAN) {
+        /* row ink over cols [left, right) */
+        int64_t first = -1, last = -1;
+        for (int64_t r = top; r <= bottom; r++) {
+            if (xy_ink(x, r, r + 1, left, right) > 0) {
+                if (first < 0)
+                    first = r;
+                else if (r - last > 1)
+                    row_gap = 1;
+                last = r;
+            }
+        }
+        if (first < 0)
+            return XY_OK;
+        top = first;
+        bottom = last;
+    }
+    int64_t height = bottom + 1 - top, width = right + 1 - left;
+    if (width < p[XP_MIN_W] || height < p[XP_MIN_H]
+        || height * width < p[XP_MIN_AREA])
+        return XY_OK;
+    if (row_gap)
+        return xy_push_row_runs(x, top, bottom, left, right, left, right,
+                                XY_ROWS_CLEAN);
+    if (col_gap) {
+        /* the runs of the first column scan, over its rows */
+        int64_t start = -1;
+        for (int64_t c = left0; c <= right + 1; c++) {
+            int inked = c <= right && xy_ink(x, top0, bottom0, c, c + 1) > 0;
+            if (inked && start < 0)
+                start = c;
+            if (!inked && start >= 0) {
+                int rc = xy_push(x, top, bottom, start, c - 1, XY_COL_RUN);
+                if (rc)
+                    return rc;
+                start = -1;
+            }
+        }
+        return XY_OK;
+    }
+    if (width > p[XP_MAX_W] || bottom - top > p[XP_MAX_H]) {
+        /* findLinesHarder: split at the lightest row of [top, bottom) */
+        if (bottom - top <= 0)
+            return XY_OK;
+        int64_t best = 0, min_row = top;
+        for (int64_t r = top; r < bottom; r++) {
+            int64_t ink = xy_ink(x, r, r + 1, left, right);
+            if (r == top || ink < best) {
+                best = ink;
+                min_row = r;
+            }
+        }
+        if (best >= p[XP_SOME_DARK])
+            return XY_OK;
+        int rc = XY_OK;
+        if (bottom - (min_row + 1) >= p[XP_MIN_H])
+            rc = xy_push(x, min_row + 1, bottom, left, right, XY_ANY);
+        if (!rc && min_row - 1 - top >= p[XP_MIN_H])
+            rc = xy_push(x, top, min_row - 1, left, right, XY_ANY);
+        return rc;
+    }
+    return xy_insert(x, left, right + 1, top, bottom + 1);
+}
+
+/* ps: the (h+1) x (w+1) prefix sum; region: top, bottom, left, right;
+ * params: XP_*; stats: XS_*, updated in place.
+ * stack: 5 * stack_cap; glyph: 5 * box_cap; line: 6 * box_cap and
+ * order: box_cap (scratch).  On XY_OK or XY_TOO_TALL the lines formed so
+ * far are written in page order: boxes (left, right, top, bottom) to
+ * out_boxes (4 * box_cap), line by line with each line's glyphs left to
+ * right, and (top, bottom, left border, right border, glyph count) per
+ * line to out_lines (5 * box_cap); sizes gets (glyphs, lines, height of
+ * the glyph that was too tall).  Nothing is written on a full buffer. */
+int xy_cut(const int32_t *ps, int64_t h, int64_t w, const int64_t *region,
+           const int64_t *params, int64_t *stats, int64_t *stack,
+           int64_t stack_cap, int64_t *glyph, int64_t *line, int64_t *order,
+           int64_t box_cap, int64_t *out_boxes, int64_t *out_lines,
+           int64_t *sizes)
+{
+    xy_t x = {ps, w + 1, params, {0}, stack, 0, stack_cap, glyph, 0, box_cap,
+              line, order, 0, 0};
+    memcpy(x.st, stats, sizeof x.st);
+    int rc = xy_push(&x, region[0], region[1], region[2], region[3], XY_ANY);
+    while (!rc && x.sp > 0) {
+        const int64_t *e = x.stack + 5 * --x.sp;
+        if (e[4] == XY_COL_RUN)
+            rc = xy_col_run(&x, e[0], e[1], e[2], e[3]);
+        else
+            rc = xy_region(&x, h, w, e[0], e[1], e[2], e[3], e[4]);
+    }
+    if (rc == XY_BOXES_FULL || rc == XY_STACK_FULL)
+        return rc;
+    memcpy(stats, x.st, sizeof x.st);
+    int64_t k = 0;
+    for (int64_t i = 0; i < x.nlines; i++) {
+        const int64_t *ln = x.line + 6 * x.order[i];
+        memcpy(out_lines + 5 * i, ln, 4 * sizeof(int64_t));
+        out_lines[5 * i + 4] = ln[5];
+        for (int64_t g = ln[4]; g >= 0; g = x.glyph[5 * g + 4])
+            memcpy(out_boxes + 4 * k++, x.glyph + 5 * g, 4 * sizeof(int64_t));
+    }
+    sizes[0] = k;
+    sizes[1] = x.nlines;
+    sizes[2] = x.bad_height;
+    return rc;
+}
+
+/* ------------------------------------------------------ glyph tuples -- */
+
+/* The "%0.3f" / sscanf round-trip of categorize.c:106-109 for a float32
+ * v, bit-identical to features._round3_vec.  y = v * 1000 is exact in
+ * double (a 24-bit mantissa times 1000 fits in 53 bits), so printf's
+ * exact decimal rounding of v is y rounded half to even, and reading the
+ * string back gives the double nearest n / 1000, which is n / 1000.0,
+ * then narrowed.  That differs from floor(y + 0.5) only at ties, which
+ * float32 inputs reach only at v = j / 16 for odd j (y = 62.5, ...). */
+static float round3(float v)
+{
+    double y = (double)v * 1000.0, n = floor(y + 0.5);
+    if (n - y == 0.5 && fmod(n, 2.0) != 0.0)
+        n -= 1.0; /* a tie goes to the even neighbour, as printf rounds */
+    return (float)(n / 1000.0);
+}
+
+/* Grid cell edges of one axis: lroundf of float32 (extent - 1) / GRID * k,
+ * rounded in double as features.fill_tuples_py does. */
+static void grid_edges(int64_t lo, float extent, int64_t *first,
+                       int64_t *last)
+{
+    float delta = (extent - 1.0f) / 5.0f;
+    int64_t r[6];
+    for (int k = 0; k < 6; k++)
+        r[k] = (int64_t)floor((double)(delta * (float)k) + 0.5);
+    for (int k = 0; k < 5; k++) {
+        first[k] = lo + r[k];
+        last[k] = lo + r[k + 1] + 1;
+    }
+}
+
+static inline int64_t clip(int64_t v, int64_t lo, int64_t hi)
+{
+    return v < lo ? lo : v > hi ? hi : v;
+}
+
+/* fillTuple (main/categorize.c:47-125) plus normalizeTuple for n
+ * path-free boxes (left, right, top, bottom; right/bottom exclusive),
+ * bit-identical to features.fill_tuples_py: out gets n x 27 float32.
+ * Returns -1, writing nothing, unless every box is non-empty and inside
+ * the (h, w) page. */
+int64_t glyph_tuples(const int32_t *ps, int64_t h, int64_t w,
+                     const int64_t *boxes, const int64_t *line_heights,
+                     int64_t n, int64_t fallback_height, float *out)
+{
+    int64_t stride = w + 1;
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t *b = boxes + 4 * i;
+        if (b[0] < 0 || b[0] >= b[1] || b[1] > w || b[2] < 0 || b[2] >= b[3]
+            || b[3] > h)
+            return -1;
+    }
+    for (int64_t i = 0; i < n; i++) {
+        const int64_t *b = boxes + 4 * i;
+        int64_t left = b[0], right = b[1], top = b[2], bottom = b[3];
+        float gh = (float)(bottom - top), gw = (float)(right - left);
+        int64_t fl[5], ll[5], fp[5], lp[5];
+        grid_edges(top, gh, fl, ll);
+        grid_edges(left, gw, fp, lp);
+        float *t = out + 27 * i;
+        for (int r = 0; r < 5; r++) {
+            const int32_t *a = ps + clip(fl[r], top, bottom) * stride;
+            const int32_t *z = ps + clip(ll[r], top, bottom) * stride;
+            for (int c = 0; c < 5; c++) {
+                int64_t c0 = clip(fp[c], left, right);
+                int64_t c1 = clip(lp[c], left, right);
+                int64_t filled = (int64_t)z[c1] - a[c1] - z[c0] + a[c0];
+                int64_t total = (ll[r] - fl[r]) * (lp[c] - fp[c]);
+                t[5 * r + c] = round3((float)filled / (float)total);
+            }
+        }
+        float aspect = gh < gw ? gh / (2.0f * gw) : 1.0f - gw / (2.0f * gh);
+        int64_t lh = line_heights[i] != 0 ? line_heights[i] : fallback_height;
+        t[25] = aspect * 3.0f;
+        t[26] = (gh / (float)lh) * 3.0f;
+    }
+    return 0;
 }
 
 /* -------------------------------------------------------- html strip -- */

@@ -14,6 +14,11 @@ independently-filtered sub-images (each pass has its own scanline
 stride and byte padding); each defilters and converts on its own, then
 scatters into the output grid at its (origin, step) lattice.
 
+Memory is bounded by the header: an image over ``gif.MAX_PIXELS`` is
+rejected as soon as IHDR is read, and IDAT is inflated only up to the
+scanline bytes the header implies, so a stream that inflates further
+(a decompression bomb) costs no more than a valid image of that size.
+
 Defiltering is row-sequential by construction (each row references the
 previous); within a row, Sub/Paeth/Average are per-pixel recurrences —
 implemented as tight loops over the row, adequate for the multimodal
@@ -27,6 +32,8 @@ import struct
 import zlib
 
 import numpy as np
+
+from tensorflow_ocr_ray.core.gif import MAX_PIXELS
 
 _SIG = b"\x89PNG\r\n\x1a\n"
 
@@ -106,6 +113,8 @@ def decode_png_gray(payload: bytes) -> np.ndarray:
                 raise ValueError("non-standard compression/filter method")
             if interlace not in (0, 1):
                 raise ValueError(f"unknown PNG interlace method {interlace}")
+            if w * h > MAX_PIXELS:
+                raise ValueError(f"PNG image {w}x{h} exceeds pixel cap")
             ihdr = (w, h, depth, ctype, interlace)
         elif cid == b"PLTE":
             pal = np.frombuffer(body, dtype=np.uint8)
@@ -130,7 +139,9 @@ def decode_png_gray(payload: bytes) -> np.ndarray:
 
     bits_pp = channels * depth
     bpp = max(1, bits_pp // 8)
-    raw = zlib.decompress(bytes(idat))
+    # inflate no further than the scanlines need; the rest is ignored
+    need = _scanline_bytes(w, h, bits_pp, interlace)
+    raw = zlib.decompressobj().decompress(bytes(idat), need) if need else b""
 
     if interlace == 0:
         stride = (w * bits_pp + 7) // 8
@@ -140,11 +151,7 @@ def decode_png_gray(payload: bytes) -> np.ndarray:
     # Adam7: seven sub-images, each with its own scanline stride
     out = np.zeros((h, w), dtype=np.uint8)
     pos = 0
-    for x0, y0, dx, dy in _ADAM7:
-        pw = (w - x0 + dx - 1) // dx if w > x0 else 0
-        ph = (h - y0 + dy - 1) // dy if h > y0 else 0
-        if pw == 0 or ph == 0:
-            continue
+    for x0, y0, dx, dy, pw, ph in _adam7_passes(w, h):
         stride = (pw * bits_pp + 7) // 8
         nbytes = ph * (1 + stride)
         recon = _defilter(raw[pos:pos + nbytes], ph, stride, bpp)
@@ -153,6 +160,25 @@ def decode_png_gray(payload: bytes) -> np.ndarray:
             recon, ph, pw, depth, ctype, channels, plte
         )
     return out
+
+
+def _adam7_passes(w: int, h: int):
+    """(x0, y0, dx, dy, width, height) of each Adam7 pass that holds
+    pixels."""
+    for x0, y0, dx, dy in _ADAM7:
+        pw = (w - x0 + dx - 1) // dx if w > x0 else 0
+        ph = (h - y0 + dy - 1) // dy if h > y0 else 0
+        if pw and ph:
+            yield x0, y0, dx, dy, pw, ph
+
+
+def _scanline_bytes(w: int, h: int, bits_pp: int, interlace: int) -> int:
+    """Bytes of filtered scanlines the header implies: a filter byte plus
+    the packed samples per row, over the image or its Adam7 passes."""
+    if interlace == 0:
+        return h * (1 + (w * bits_pp + 7) // 8)
+    return sum(ph * (1 + (pw * bits_pp + 7) // 8)
+               for *_, pw, ph in _adam7_passes(w, h))
 
 
 _ADAM7 = (

@@ -34,7 +34,11 @@ import numpy as np
 
 from tensorflow_ocr_ray.config import OcrConfig
 from tensorflow_ocr_ray.core import native
-from tensorflow_ocr_ray.core.features import fill_tuple, refill_tuple
+from tensorflow_ocr_ray.core.features import (
+    fill_tuple,
+    fill_tuples,
+    refill_tuple,
+)
 from tensorflow_ocr_ray.core.knn import BIGDIST, FontIndex
 
 INFTY = 100000  # main/ocr.h:44
@@ -124,6 +128,11 @@ def prefix_sum_2d_py(image: np.ndarray) -> np.ndarray:
     return ps
 
 
+def _too_tall_message(height: int, cfg: OcrConfig) -> str:
+    return (f"glyph height {height} exceeds max {cfg.max_glyph_height} "
+            "(reference abort())")
+
+
 class PageSegmenter:
     """Segments one page; mirrors the per-page portion of main.c's loop."""
 
@@ -211,10 +220,7 @@ class PageSegmenter:
         self.total_width += right - left
         self.total_height += bottom - top
         if bottom - top > self.cfg.max_glyph_height:
-            raise RuntimeError(
-                f"glyph height {bottom - top} exceeds max "
-                f"{self.cfg.max_glyph_height} (reference abort())"
-            )
+            raise RuntimeError(_too_tall_message(bottom - top, self.cfg))
         self.glyph_count += 1
         self.glyph_width = self.total_width // self.glyph_count
         self.glyph_height = self.total_height // self.glyph_count
@@ -274,8 +280,45 @@ class PageSegmenter:
         return seg[1:] - seg[:-1]
 
     def find_cells(self, top: int, bottom: int, left: int, right: int) -> None:
+        """findCells (main/segment.c:278-352) with insertGlyph's line
+        formation, in one call of the native ``xy_cut`` kernel: it walks
+        the region over the page prefix sum in ``find_cells_py``'s exact
+        order, forms the lines and updates the page stats; the lines are
+        then built here in one pass.  The kernel starts from no lines,
+        as ``find_lines`` does.  ``find_cells_py`` is the reference and
+        runs instead when the kernels are unavailable."""
+        kernels = native.load()
+        if kernels is None:
+            self.find_cells_py(top, bottom, left, right)
+            return
+        cfg = self.cfg
+        stats, boxes, lines, too_tall = kernels.xy_cut(
+            self._prefix(), (top, bottom, left, right),
+            (cfg.min_glyph_width, cfg.min_glyph_height, cfg.min_glyph_area,
+             cfg.max_glyph_width, cfg.max_glyph_height, cfg.some_dark),
+            (self.left_margin, self.right_margin, self.total_width,
+             self.total_height, self.glyph_count, self.glyph_width,
+             self.glyph_height),
+        )
+        (self.left_margin, self.right_margin, self.total_width,
+         self.total_height, self.glyph_count, self.glyph_width,
+         self.glyph_height) = stats
+        k = 0
+        for line_top, line_bottom, line_left, line_right, n in lines:
+            line = Line()
+            line.top, line.bottom = line_top, line_bottom
+            line.left_border, line.right_border = line_left, line_right
+            line.glyphs = [Glyph(*box) for box in boxes[k:k + n]]
+            k += n
+            self.lines.append(line)
+        if too_tall:
+            raise RuntimeError(_too_tall_message(too_tall, cfg))
+
+    def find_cells_py(self, top: int, bottom: int, left: int,
+                      right: int) -> None:
         """findCells (main/segment.c:278-352), iterative with the exact
-        recursion order (lower/right halves processed first).  The blank
+        recursion order (lower/right halves processed first); the
+        reference for the native ``xy_cut`` kernel.  The blank
         row/col probes of the C loops are replaced by whole-region count
         arrays off the page prefix sum — same decisions, O(1) per probe.
 
@@ -1166,8 +1209,9 @@ class PageSegmenter:
             while i < len(self.lines):
                 if self.lines[i].height > 1.5 * avg_height:
                     self.split_line(i)
+                line_height = self.lines[i].height
                 for g in self.lines[i].glyphs:
-                    g.line_height = self.lines[i].height
+                    g.line_height = line_height
                 i += 1
         if num_glyphs == 0:
             return False
@@ -1178,10 +1222,11 @@ class PageSegmenter:
         """buildTuples (main/categorize.c:158-168): fresh tuples for all.
 
         Path-free glyphs (the overwhelming majority) are featurized in one
-        vectorized pass over the page prefix sum; glyphs carrying cut paths
-        use the scalar path-aware ``fill_tuple``.  Same arithmetic."""
-        from tensorflow_ocr_ray.core.features import fill_tuples_vectorized
-
+        call over the page prefix sum, by the native ``glyph_tuples``
+        kernel or, without the kernels, by its reference
+        ``features.fill_tuples_py`` (see ``features.fill_tuples``);
+        glyphs carrying cut paths use the scalar path-aware
+        ``fill_tuple``.  Same arithmetic."""
         plain: list[Glyph] = []
         for line in self.lines:
             for g in line.glyphs:
@@ -1198,8 +1243,6 @@ class PageSegmenter:
                 dtype=np.int64,
             )
             lh = np.array([g.line_height for g in plain], dtype=np.int64)
-            tups = fill_tuples_vectorized(
-                self._prefix(), boxes, lh, self.glyph_height
-            )
-            for i, g in enumerate(plain):
-                g.tuple = tups[i]
+            tups = fill_tuples(self._prefix(), boxes, lh, self.glyph_height)
+            for g, tup in zip(plain, tups):
+                g.tuple = tup

@@ -2797,9 +2797,8 @@ def _ensure_zorder_layout(sf_dir: str) -> str:
             add_key, batch_format="pandas", batch_size=65536
         ).write_parquet(tmp, partition_cols=["zbucket"])
 
-    return cache.build_once(
-        cache.INDEX_ROOT,
-        f"zorder-{cache.table_fingerprint(sf_dir, 'orders')}", build)
+    return cache.build_once(cache.INDEX_ROOT, "zorder-{fp}", build,
+                            source=(sf_dir, "orders"))
 
 
 def zorder_pruned_scan(
@@ -4173,8 +4172,8 @@ def orders_sorted_export(sf_dir: str, n_parts: int = 16) -> pd.DataFrame:
         papq.write_table(pa.Table.from_pandas(manifest),
                          os.path.join(tmp, "manifest.parquet"))
 
-    fp = cache.table_fingerprint(sf_dir, "orders")
-    d = cache.build_once(cache.EXPORT_ROOT, f"sorted-{fp}-{n_parts}", build)
+    d = cache.build_once(cache.EXPORT_ROOT, f"sorted-{{fp}}-{n_parts}", build,
+                         source=(sf_dir, "orders"))
     return (papq.read_table(os.path.join(d, "manifest.parquet")).to_pandas()
             .astype("int64").sort_values("part_id")
             .reset_index(drop=True))
@@ -4319,9 +4318,8 @@ def schema_evolution_read(sf_dir: str) -> pd.DataFrame:
                 batch_format="pyarrow",
             ).write_parquet(os.path.join(tmp, name))
 
-    d = cache.build_once(
-        cache.EXPORT_ROOT,
-        f"schemaevo-{cache.table_fingerprint(sf_dir, 'orders')}", build)
+    d = cache.build_once(cache.EXPORT_ROOT, "schemaevo-{fp}", build,
+                         source=(sf_dir, "orders"))
 
     unified = ["o_orderkey", "cents", "channel"]
     v1 = rd.read_parquet(os.path.join(d, "v1")).map_batches(

@@ -489,10 +489,10 @@ def inverted_index_and(sf_dir: str,
     from tensorflow_ocr_ray.stages.exchange import hash_exchange
 
     terms = tuple(dict.fromkeys(terms))  # dedup, keep order
-    fp = cache.table_fingerprint(sf_dir, "documents")
     index_dir = cache.build_once(
-        cache.INDEX_ROOT, f"inv{n_shards}-{fp}",
-        lambda d: build_inverted_index(sf_dir, d, n_shards))
+        cache.INDEX_ROOT, f"inv{n_shards}-{{fp}}",
+        lambda d: build_inverted_index(sf_dir, d, n_shards),
+        source=(sf_dir, "documents"))
     need = sorted(
         {int(h % np.uint64(n_shards))
          for h in _md5_prefix_batch(list(terms), 8).astype(np.uint64)})

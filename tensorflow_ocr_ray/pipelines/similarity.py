@@ -376,8 +376,8 @@ def _ensure_index(tag: str, sf_dir: str, build) -> str:
     """Build-once cache for bucket indexes, keyed on the embeddings
     table's fingerprint: the index IS the operator at scale, so queries
     must reuse it, not rebuild per call (``cache.build_once``)."""
-    fp = cache.table_fingerprint(sf_dir, "embeddings")
-    return cache.build_once(cache.INDEX_ROOT, f"{tag}-{fp}", build)
+    return cache.build_once(cache.INDEX_ROOT, f"{tag}-{{fp}}", build,
+                            source=(sf_dir, "embeddings"))
 
 
 def _bucket_row_count(index_dir: str, prefix: str, code: int) -> int:

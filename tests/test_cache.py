@@ -10,6 +10,7 @@ from __future__ import annotations
 import gc
 import os
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pyarrow as pa
@@ -112,3 +113,40 @@ def test_build_once_failed_build_publishes_nothing(tmp_path):
     assert cache.build_once(root, "idx-1", good) == d
     assert len(runs) == 1
 
+
+
+def test_build_once_removes_directories_of_older_contents(tmp_path):
+    """Each rewrite of a table publishes a new directory and removes the
+    one its old contents left; other tables and templates keep theirs."""
+    root = str(tmp_path / "root")
+    sf_a, sf_b = tmp_path / "sf_a", tmp_path / "sf_b"
+    sf_a.mkdir()
+    sf_b.mkdir()
+
+    def build(d):
+        with open(os.path.join(d, "data"), "w") as f:
+            f.write("x")
+
+    def built_from(sf_dir):
+        return sorted(n for n in os.listdir(root)
+                      if Path(root, n, "_SOURCE").read_text()
+                      .startswith(os.path.abspath(sf_dir)))
+
+    _write_events(str(sf_b), 3)
+    other = cache.build_once(root, "idx-{fp}", build,
+                             source=(str(sf_b), "events"))
+    names = []
+    for n in (10, 11, 12):  # the first write, then two rewrites
+        _write_events(str(sf_a), n)
+        d = cache.build_once(root, "idx-{fp}", build,
+                             source=(str(sf_a), "events"))
+        names.append(os.path.basename(d))
+        assert built_from(sf_a) == [names[-1]]
+        assert os.path.exists(os.path.join(d, "_SUCCESS"))
+    assert len(set(names)) == 3  # every rewrite changed the fingerprint
+    assert names[-1] == "idx-" + cache.table_fingerprint(str(sf_a), "events")
+    kept = cache.build_once(root, "other-{fp}", build,
+                            source=(str(sf_a), "events"))
+    assert os.path.exists(other) and built_from(sf_b) == [
+        os.path.basename(other)]
+    assert built_from(sf_a) == sorted([names[-1], os.path.basename(kept)])

@@ -255,6 +255,57 @@ def test_not_png_raises():
         decode_png_gray(b"\x00" * 32)
 
 
+def _zero_stream(mib: int) -> bytes:
+    """A valid zlib stream of ``mib`` MiB of zeros, ~1 KB per MiB: after
+    a full flush the compressor starts afresh, so the bytes of every
+    further MiB repeat."""
+    c = zlib.compressobj(9)
+    zeros = bytes(1 << 20)
+    first = c.compress(zeros) + c.flush(zlib.Z_FULL_FLUSH)
+    repeat = c.compress(zeros) + c.flush(zlib.Z_FULL_FLUSH)
+    adler = 1
+    for _ in range(mib):
+        adler = zlib.adler32(zeros, adler)
+    # an empty final fixed-Huffman block, then the checksum
+    return first + repeat * (mib - 1) + b"\x03\x00" + struct.pack(">I", adler)
+
+
+@pytest.mark.parametrize("w,h,interlace", [(1, 1, 0), (3, 3, 1)])
+def test_idat_bomb_inflates_only_the_scanlines(w, h, interlace):
+    """IHDR promises a tiny image, IDAT inflates to 400 MiB: only the
+    scanline bytes the header implies are inflated, the rest ignored."""
+    import time
+    import tracemalloc
+
+    stream = _zero_stream(400)
+    assert len(stream) < 500_000
+    png = (b"\x89PNG\r\n\x1a\n"
+           + _chunk(b"IHDR", struct.pack(">IIBBBBB", w, h, 8, 0, 0, 0,
+                                         interlace))
+           + _chunk(b"IDAT", stream) + _chunk(b"IEND", b""))
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        img = decode_png_gray(png)
+    finally:
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert np.array_equal(img, np.zeros((h, w), dtype=np.uint8))
+    # inflating all of it allocates ~830 MB and takes over a second
+    assert peak < 16 << 20, peak
+    assert elapsed < 0.5, elapsed
+
+
+def test_pixel_cap_rejects_huge_header():
+    png = (b"\x89PNG\r\n\x1a\n"
+           + _chunk(b"IHDR", struct.pack(">IIBBBBB", 65535, 65535, 8, 0,
+                                         0, 0, 0))
+           + _chunk(b"IDAT", zlib.compress(b"\x00" * 64)))
+    with pytest.raises(ValueError, match="exceeds pixel cap"):
+        decode_png_gray(png)
+
+
 def test_png_through_image_stage(ray_session):
     import pyarrow as pa
 
