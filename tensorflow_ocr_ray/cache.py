@@ -8,8 +8,8 @@ Three parts, shared by every query family that caches:
   scratch dir, mark it ``_SUCCESS``, rename it into place.  On-disk
   indexes and exports carry the input fingerprint in their name, so a
   rewritten table gets a new directory instead of a stale one, and
-  publishing it removes the directories its table's older contents
-  left behind.
+  publishing a directory removes the ones whose table was rewritten or
+  deleted since they were built.
 - :func:`memo` keeps one in-process value per ``(name, params)``
   together with the fingerprint of its input.  A changed fingerprint
   rebuilds the entry and releases the old value, so a rewritten table
@@ -41,7 +41,7 @@ def table_fingerprint(sf_dir: str, table: str) -> str:
 
 
 def build_once(root: str, name: str, build: Callable[[str], object],
-               source: tuple[str, str] | None = None) -> str:
+               source: tuple[str, str]) -> str:
     """Return ``root/name``, running ``build(tmp)`` first unless a
     finished copy exists.  ``build`` fills a fresh scratch directory;
     only after it returns is the directory marked ``_SUCCESS`` and
@@ -50,19 +50,14 @@ def build_once(root: str, name: str, build: Callable[[str], object],
     benignly: the contents are deterministic, and the loser of the
     rename discards its own copy.
 
-    ``source``, when given, is the ``(sf_dir, table)`` the directory is
-    built from, and ``name`` is a template whose ``{fp}`` becomes that
-    table's fingerprint.  The directory records its source and template
-    in ``_SOURCE``; publishing it removes every other directory under
-    ``root`` with the same record, i.e. the ones built from the same
-    table file under an older fingerprint.  Directories built from
-    other sf dirs or under other templates stay."""
-    record = None
-    if source is not None:
-        sf_dir, table = source
-        record = (f"{os.path.abspath(sf_dir)}/{table}.parquet\n"
-                  f"{name}\n")
-        name = name.format(fp=table_fingerprint(sf_dir, table))
+    ``source`` is the ``(sf_dir, table)`` the directory is built from,
+    and ``name`` is a template whose ``{fp}`` becomes that table's
+    fingerprint.  The directory records its source and template in
+    ``_SOURCE``; publishing it collects the stale directories under
+    ``root`` (see :func:`_collect_stale`)."""
+    sf_dir, table = source
+    record = f"{os.path.abspath(sf_dir)}/{table}.parquet\n{name}\n"
+    name = name.format(fp=table_fingerprint(sf_dir, table))
     d = os.path.join(root, name)
     if os.path.exists(os.path.join(d, "_SUCCESS")):
         return d
@@ -71,9 +66,8 @@ def build_once(root: str, name: str, build: Callable[[str], object],
     os.makedirs(tmp)
     try:
         build(tmp)
-        if record is not None:
-            with open(os.path.join(tmp, "_SOURCE"), "w") as f:
-                f.write(record)
+        with open(os.path.join(tmp, "_SOURCE"), "w") as f:
+            f.write(record)
         with open(os.path.join(tmp, "_SUCCESS"), "w") as f:
             f.write("ok")
     except BaseException:
@@ -83,24 +77,39 @@ def build_once(root: str, name: str, build: Callable[[str], object],
         os.rename(tmp, d)
     except OSError:  # another process won the race; its copy is equal
         shutil.rmtree(tmp, ignore_errors=True)
-    if record is not None:
-        _remove_superseded(root, name, record)
+    _collect_stale(root, name)
     return d
 
 
-def _remove_superseded(root: str, name: str, record: str) -> None:
-    """Remove the published siblings of ``root/name`` whose ``_SOURCE``
-    equals ``record``."""
+def _current_name(path: str, template: str) -> str | None:
+    """The name ``template`` gives for the table file at ``path`` today,
+    or None if that file is gone."""
+    sf_dir, table = os.path.split(path)
+    try:
+        return template.format(
+            fp=table_fingerprint(sf_dir, table.removesuffix(".parquet")))
+    except FileNotFoundError:
+        return None
+
+
+def _collect_stale(root: str, name: str) -> None:
+    """Remove the published directories under ``root``, other than
+    ``name``, that no current table maps to: their recorded source file
+    is gone, or it was rewritten since, so its fingerprint no longer
+    gives their name.  Directories of unchanged tables (of any sf dir or
+    template) stay, and so do other builders' ``.build-<pid>`` scratch
+    directories.  A builder whose table was rewritten while it built
+    thus never removes the directory of the newer contents."""
     for other in os.listdir(root):
-        if other == name:
+        if other == name or ".build-" in other:
             continue
         try:
             with open(os.path.join(root, other, "_SOURCE")) as f:
-                if f.read() != record:
-                    continue
-        except OSError:  # not a build-once directory with a source
+                path, template = f.read().splitlines()
+        except (OSError, ValueError):  # no build-once record
             continue
-        shutil.rmtree(os.path.join(root, other), ignore_errors=True)
+        if _current_name(path, template) != other:
+            shutil.rmtree(os.path.join(root, other), ignore_errors=True)
 
 
 _ENTRIES: dict[tuple, tuple[Hashable, object]] = {}

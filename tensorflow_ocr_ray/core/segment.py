@@ -291,6 +291,9 @@ class PageSegmenter:
         if kernels is None:
             self.find_cells_py(top, bottom, left, right)
             return
+        # the kernel appends its lines; the reference would merge glyphs
+        # into existing ones, so the two agree only from an empty page
+        assert not self.lines, "xy_cut starts from no lines"
         cfg = self.cfg
         stats, boxes, lines, too_tall = kernels.xy_cut(
             self._prefix(), (top, bottom, left, right),

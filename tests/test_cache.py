@@ -90,6 +90,10 @@ def test_memo_rebuilds_on_new_fingerprint_and_releases_old():
 
 def test_build_once_failed_build_publishes_nothing(tmp_path):
     root = str(tmp_path / "root")
+    sf = tmp_path / "sf"
+    sf.mkdir()
+    _write_events(str(sf), 3)
+    source = (str(sf), "events")
 
     def failing(d):
         with open(os.path.join(d, "half"), "w") as f:
@@ -97,7 +101,7 @@ def test_build_once_failed_build_publishes_nothing(tmp_path):
         raise RuntimeError("boom")
 
     with pytest.raises(RuntimeError, match="boom"):
-        cache.build_once(root, "idx-1", failing)
+        cache.build_once(root, "idx-1", failing, source)
     assert os.listdir(root) == []  # neither published nor left as scratch
 
     runs = []
@@ -107,10 +111,10 @@ def test_build_once_failed_build_publishes_nothing(tmp_path):
         with open(os.path.join(d, "data"), "w") as f:
             f.write("ok")
 
-    d = cache.build_once(root, "idx-1", good)
+    d = cache.build_once(root, "idx-1", good, source)
     assert d == os.path.join(root, "idx-1")
-    assert sorted(os.listdir(d)) == ["_SUCCESS", "data"]
-    assert cache.build_once(root, "idx-1", good) == d
+    assert sorted(os.listdir(d)) == ["_SOURCE", "_SUCCESS", "data"]
+    assert cache.build_once(root, "idx-1", good, source) == d
     assert len(runs) == 1
 
 
@@ -150,3 +154,58 @@ def test_build_once_removes_directories_of_older_contents(tmp_path):
     assert os.path.exists(other) and built_from(sf_b) == [
         os.path.basename(other)]
     assert built_from(sf_a) == sorted([names[-1], os.path.basename(kept)])
+
+
+def test_build_once_removes_directories_of_deleted_tables(tmp_path):
+    """A directory whose source table is gone (a test's sf dir removed
+    after the session) is collected by the next publish; other builders'
+    scratch directories are not touched."""
+    root = str(tmp_path / "root")
+    sf_a, sf_b = tmp_path / "sf_a", tmp_path / "sf_b"
+    sf_a.mkdir()
+    sf_b.mkdir()
+
+    def build(d):
+        with open(os.path.join(d, "data"), "w") as f:
+            f.write("x")
+
+    _write_events(str(sf_a), 4)
+    _write_events(str(sf_b), 5)
+    gone = cache.build_once(root, "idx-{fp}", build, (str(sf_a), "events"))
+    scratch = os.path.join(root, "idx-0.build-1")  # a build in progress
+    os.makedirs(scratch)
+    Path(scratch, "_SOURCE").write_text(Path(gone, "_SOURCE").read_text())
+    os.remove(sf_a / "events.parquet")
+    sf_a.rmdir()
+    kept = cache.build_once(root, "idx-{fp}", build, (str(sf_b), "events"))
+    assert sorted(os.listdir(root)) == sorted(
+        [os.path.basename(kept), "idx-0.build-1"])
+
+
+def test_build_once_stale_builder_collects_nothing(tmp_path):
+    """A builder whose table is rewritten while it builds publishes the
+    old fingerprint's directory but must not remove the current one."""
+    root = str(tmp_path / "root")
+    sf = tmp_path / "sf"
+    sf.mkdir()
+
+    def build(d):
+        with open(os.path.join(d, "data"), "w") as f:
+            f.write("x")
+
+    _write_events(str(sf), 6)
+    old_fp = cache.table_fingerprint(str(sf), "events")
+
+    def build_then_rewrite(d):
+        build(d)
+        _write_events(str(sf), 7)  # the table changes under this build
+        current = cache.build_once(root, "idx-{fp}", build,
+                                   (str(sf), "events"))
+        built.append(os.path.basename(current))
+
+    built = []
+    stale = cache.build_once(root, "idx-{fp}", build_then_rewrite,
+                             (str(sf), "events"))
+    assert os.path.basename(stale) == f"idx-{old_fp}"
+    assert built == ["idx-" + cache.table_fingerprint(str(sf), "events")]
+    assert sorted(os.listdir(root)) == sorted([built[0], f"idx-{old_fp}"])
