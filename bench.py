@@ -101,7 +101,7 @@ def bench_ocr(
     concurrency: int | None = None,
 ) -> dict:
     """The headline: interleaved docs → OCR'd docs, one task per
-    document batch."""
+    block."""
     import ray.data as rd
 
     from tensorflow_ocr_ray.fixtures import generate_documents
@@ -150,7 +150,7 @@ def bench_extract(
 ) -> dict:
     """The north-rule flagship: interleaved WEB docs (text spans are
     boilerplate-wrapped html) → strip + OCR in the same task per
-    document batch.  Same plan as ``bench_ocr`` plus the html strip
+    block.  Same plan as ``bench_ocr`` plus the html strip
     step, so the two timings isolate the extraction increment."""
     import ray.data as rd
 
@@ -347,7 +347,7 @@ def _write_scaling_md(r: dict) -> None:
                 "best-of-3 per level, constant scorer:CPU ratio), but the\n"
                 "combined web-extraction flagship: html spans strip\n"
                 "boilerplate, media spans OCR, text spans pass through —\n"
-                "one task per document batch, span order preserved.\n\n"
+                "one task per block, span order preserved.\n\n"
                 f"| docs | CPUs | wall sec | docs/sec |\n|---|---|---|---|\n"
                 f"| {r['docs']} | {lo} | "
                 f"{r['queries']['ocr@%dcpus' % lo]} | "
@@ -440,7 +440,7 @@ def run_scaling_query(sf_dir: str, name: str = "doc_fingerprints",
     ~0.35-0.4 here because the Sort operator's map/reduce phases do not
     parallelize at these data sizes (stats show the sort dominating
     wall at both levels) — which is why the OCR flagship has no wide
-    exchange (one task per document batch), and why every relational
+    exchange (one task per block), and why every relational
     operator in this repo pre-aggregates map-side so the sort only ever
     moves skinny partials.  Memoized state is per-process; each level is a fresh
     session; the warmup rep excludes read-cache effects."""

@@ -19,7 +19,8 @@ pipeline extracts everything:
 Span-sequence equality ``(kind, text, media_ref, order)`` is preserved
 exactly — the strip stage rewrites only ``text`` of ``html`` rows, and
 the plan is :func:`ocr_documents`'s with one extra step inside its
-per-batch task (explode → strip → score → reassemble), so everything
+per-block task (explode → strip → score per ``batch_size`` documents →
+reassemble; the strip runs once over the whole block), so everything
 measured about the flagship applies unchanged.
 
 Scale note: the strip is per-string work with no state, so it costs
@@ -48,21 +49,27 @@ def strip_html_spans(batch: pa.Table) -> pa.Table:
     passes through byte-identical.
 
     The mask is Arrow-vectorized; only the html rows' strings cross into
-    Python, and each is stripped by one ``extract_main_content`` call
-    (a C block scan per span, like the OCR decode it sits next to)."""
-    mask = pc.equal(batch.column("kind"), HTML_KIND)
-    mask_np = mask.to_numpy(zero_copy_only=False)
-    if not mask_np.any():
+    Python, each is stripped by one ``extract_main_content`` call (a C
+    block scan per span, like the OCR decode it sits next to), and the
+    results are written back in place with ``replace_with_mask``."""
+    is_html = pc.fill_null(
+        pc.equal(batch.column("kind"), HTML_KIND), False
+    ).combine_chunks()
+    if not pc.any(is_html).as_py():
         return batch
-    texts = batch.column("text").to_pylist()
-    for i in np.nonzero(mask_np)[0]:
-        t = texts[i]
-        # min_len=1: span-level pages may carry arbitrarily short main
-        # content; chrome is dropped structurally (head subtree, link
-        # density), not by the length gate
-        texts[i] = extract_main_content(t, min_len=1) if t else t
-    idx = batch.schema.get_field_index("text")
-    return batch.set_column(idx, "text", pa.array(texts, type=pa.string()))
+    text = batch.column("text").combine_chunks()
+    # min_len=1: span-level pages may carry arbitrarily short main
+    # content; chrome is dropped structurally (head subtree, link
+    # density), not by the length gate
+    stripped = pa.array(
+        [extract_main_content(t, min_len=1) if t else t
+         for t in text.filter(is_html).to_pylist()],
+        type=text.type,
+    )
+    i = batch.schema.get_field_index("text")
+    return batch.set_column(
+        i, "text", pc.replace_with_mask(text, is_html, stripped)
+    )
 
 
 def extract_documents(

@@ -7,23 +7,28 @@ per-document span sequence ``(kind, text, media_ref, order)`` is preserved
 exactly (the reference's ordering invariant, carried by explicit ordinal
 columns — never by block order).
 
-One physical plan, one task per document batch:
+One physical plan, one task per block:
 
 1. optional ``repartition(num_blocks)`` of the document rows;
-2. one task-pool ``map_batches`` whose function, ``ocr_span_batch``,
-   runs each batch of documents through every step in memory: explode
-   to span rows (pure Arrow ``list_flatten`` + ``list_parent_indices``)
-   → optional span transform (the html strip of
-   ``pipelines/extract.py``) → the scorer from ``make_span_ocr_fn``
-   (media rows OCR'd, text rows pass) → reassembly into
-   ``(doc_id, spans)`` rows.
+2. one task-pool ``map_batches(batch_size=None)`` whose function,
+   ``ocr_span_batch``, gets a whole block of documents and runs every
+   step in memory: explode to span rows (pure Arrow ``list_flatten`` +
+   ``list_parent_indices``) → optional span transform (the html strip
+   of ``pipelines/extract.py``) → the scorer from ``make_span_ocr_fn``
+   (media rows OCR'd, text rows pass) on zero-copy slices of
+   ``batch_size`` documents → reassembly into ``(doc_id, spans)`` rows.
+   Explode, transform and reassembly run once per block; only the
+   scorer runs per slice, which bounds its working set.
 
 There is no shuffle and no barrier: a document leaves as soon as its
-batch is scored.  The alternatives were measured and removed
-(BUILD_NOTES "One physical plan"): exploded spans reassembled by a
-global ``Sort`` (holds every document to the end of the job), a fused
-whole-document actor stage (hung), an actor-pool scorer, and
-reassembly through a hash or streaming exchange.
+block is scored.  Ray's own per-batch cost (~0.8 ms per 16-document
+batch at one core) and the steps' per-call Arrow overhead are paid
+once per block instead of once per ``batch_size`` documents
+(BUILD_NOTES "One physical plan").  The alternatives were measured and
+removed there too: exploded spans reassembled by a global ``Sort``
+(holds every document to the end of the job), a fused whole-document
+actor stage (hung), an actor-pool scorer, and reassembly through a
+hash or streaming exchange.
 
 The result is a lazy Dataset; callers consume via write_parquet /
 iter_batches.  No ray.init here — sessions belong to the driver.
@@ -31,6 +36,7 @@ iter_batches.  No ray.init here — sessions belong to the driver.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -87,10 +93,7 @@ def reassemble_group(group: pa.Table) -> pa.Table:
 
     Fully vectorized: one Arrow sort by (doc_id, offset), then the spans
     list column is rebuilt from run-length offsets — no per-document Python.
-    Runs once per document batch, so its overhead is per batch, not per
-    document."""
-    import numpy as np
-
+    Runs once per block, so its overhead is per block, not per document."""
     # drop zero-span sentinels; their doc_ids re-emerge as empty lists
     sentinel_mask = pc.equal(group.column("kind"), EMPTY_DOC_KIND)
     empties = pc.filter(group.column("doc_id"), sentinel_mask).to_pylist()
@@ -149,19 +152,24 @@ def ocr_documents(
 ) -> "ray.data.Dataset":
     """Build the lazy OCR Dataset; see the module docstring for the plan.
 
-    ``batch_size`` and ``num_blocks`` count documents: a batch holds
-    ``batch_size`` whole documents, however many spans they have.
-    ``concurrency`` caps the in-flight tasks (``None``: no cap).
-    ``ray_remote_args`` reaches the ``map_batches`` (e.g. ``num_gpus``
-    for GPU scorer deployments).
+    ``batch_size`` counts documents per scorer call: each block is scored
+    in slices of ``batch_size`` whole documents, however many spans they
+    have.  ``num_blocks`` (documents are split evenly over that many
+    blocks) sets the number of tasks.  ``concurrency`` caps the in-flight
+    tasks (``None``: no cap).  ``ray_remote_args`` reaches the
+    ``map_batches`` (e.g. ``num_gpus`` for GPU scorer deployments).
 
     ``doc_id`` is the table's key: rows that share a ``doc_id`` are
-    merged into one output row only when they land in the same batch.
+    merged into one output row, spans sorted by offset, when they land
+    in the same block.
 
-    ``pre_score_transform``: an Arrow ``Table → Table`` fn applied to a
-    batch's span rows right after the explode — the seam
+    ``pre_score_transform``: an Arrow ``Table → Table`` fn applied once
+    per block to its span rows right after the explode — the seam
     ``pipelines/extract.py`` hangs the HTML boilerplate strip on, so one
-    pipeline extracts every modality in a single streamed pass."""
+    pipeline extracts every modality in a single streamed pass.  It may
+    rewrite values but must keep the rows and their order, because the
+    scorer's slices are cut at document boundaries of the exploded
+    rows."""
     score = make_span_ocr_fn(dict(
         cfg=cfg,
         font_spec=font_spec,
@@ -171,18 +179,31 @@ def ocr_documents(
         on_media_error=on_media_error,
     ))
 
-    def ocr_span_batch(batch: pa.Table) -> pa.Table:
-        spans = explode_documents(batch)
+    def ocr_span_batch(block: pa.Table) -> pa.Table:
+        spans = explode_documents(block)
         if pre_score_transform is not None:
             spans = pre_score_transform(spans)
-        return reassemble_group(score(spans))
+        if pc.any(pc.equal(spans.column("kind"), "media")).as_py():
+            # document i's rows end at the cumulative span count (a null
+            # list counts 0, as in list_flatten, and a sliced block needs
+            # no offset normalising); every batch_size-th document starts
+            # a slice; empty-document sentinels follow, unscored
+            ends = np.cumsum(pc.fill_null(
+                pc.list_value_length(block.column("spans")), 0).to_numpy())
+            cuts = [*np.r_[0, ends][::batch_size].tolist(), int(ends[-1])]
+            spans = pa.concat_tables(
+                [score(spans.slice(a, b - a))
+                 for a, b in zip(cuts, cuts[1:]) if b > a]
+                + [spans.slice(cuts[-1])]
+            )
+        return reassemble_group(spans)
 
     if num_blocks:
         ds = ds.repartition(num_blocks)
     return ds.map_batches(
         ocr_span_batch,
         batch_format="pyarrow",
-        batch_size=batch_size,
+        batch_size=None,
         concurrency=concurrency,
         **(ray_remote_args or {}),
     )

@@ -9,8 +9,9 @@ main/kd.c:28 / main/main.c:26-47, becomes per-worker warm state):
 
 - ``OcrSpanStage``   — rows are exploded spans ``(doc_id, kind, text,
                        media_ref, offset)``; media rows get OCR'd, text
-                       rows pass through untouched.  The flagship calls
-                       it inside its per-batch task through
+                       rows pass through untouched.  The flagship's
+                       per-block task calls it once per slice of
+                       ``batch_size`` documents through
                        :func:`make_span_ocr_fn`.
 - ``GlyphDumpStage`` — the -T per-glyph feature dump over the same rows.
 """
@@ -128,18 +129,19 @@ def _spec_fingerprint(kwargs: dict) -> str:
 
 def make_span_ocr_fn(kwargs: dict):
     """Task-pool form of :class:`OcrSpanStage`: the scorer step that
-    ``ocr_documents``' one per-batch task calls between the explode and
-    the reassembly.
+    ``ocr_documents``' per-block task calls on each slice of
+    ``batch_size`` documents, between the block's explode and its
+    reassembly.
 
-    An actor pool pays a measured 3.5-6 s spin-up per EXECUTION on a
-    32-cpu node (31 fresh actor processes), while Ray reuses warm
-    worker processes for plain tasks (~0.8 s to first batch).  Stage
-    state here is cheap to build (~0.3 s: font index + media-store
-    handle + optional broadcast-weight fetch), so building it once per
-    worker process — cached in a module global keyed by the spec —
-    gives the same once-per-process amortization without the
-    actor-spawn tax.  A GPU scorer asks for its device per task through
-    ``ocr_documents(ray_remote_args={"num_gpus": ...})``.
+    Tasks, not actors: an actor pool pays a measured 3.5-6 s spin-up per
+    EXECUTION on a 32-cpu node (31 fresh actor processes) and holds its
+    CPUs, while Ray reuses warm worker processes for plain tasks.  Stage
+    state is cheap to build (~16 ms with the kNN scorer: font index +
+    media-store handle; a trained scorer adds its broadcast-weight
+    fetch), and it is built once per worker process — cached in a
+    module global keyed by the spec — so every later task and slice in
+    that process reuses it.  A GPU scorer asks for its device per task
+    through ``ocr_documents(ray_remote_args={"num_gpus": ...})``.
 
     The returned closure captures only the spec (small; scorer weights
     should ride as ``state_ref`` broadcasts, never inline)."""

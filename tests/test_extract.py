@@ -73,6 +73,36 @@ def test_strip_stage_identity_without_html_rows():
     assert strip_html_spans(batch) is batch
 
 
+def test_strip_stage_rewrites_html_rows_in_place():
+    """Only the html rows' strings are stripped and written back by mask:
+    the text column equals a row-wise strip of every html row, value for
+    value, on a chunked batch with null kinds and texts and empty html."""
+    from tensorflow_ocr_ray.functions.html_extract import extract_main_content
+
+    docs = generate_web_documents(6, seed=11)
+    rows = [dict(s, doc_id=r["doc_id"])
+            for r in docs.to_pylist() for s in r["spans"]]
+    rows += [
+        {"doc_id": "z", "kind": "html", "text": None, "media_ref": "",
+         "offset": 0},
+        {"doc_id": "z", "kind": "html", "text": "", "media_ref": "",
+         "offset": 1},
+        {"doc_id": "z", "kind": None, "text": "<p>keep</p>",
+         "media_ref": "", "offset": 2},
+    ]
+    half = len(rows) // 2
+    batch = pa.concat_tables([pa.Table.from_pylist(rows[:half]),
+                              pa.Table.from_pylist(rows[half:])])
+    want = [extract_main_content(r["text"], min_len=1)
+            if r["kind"] == "html" and r["text"] else r["text"]
+            for r in rows]
+    out = strip_html_spans(batch)
+    assert out.column("text").to_pylist() == want
+    assert out.schema.equals(batch.schema)
+    for name in ("doc_id", "kind", "media_ref", "offset"):
+        assert out.column(name).equals(batch.column(name))
+
+
 def test_e2e_extract_documents_span_equality(ray_session):
     """The headline invariant: the combined pipeline's output is
     span-sequence-equal (kind, text, media_ref, order) to the golden —

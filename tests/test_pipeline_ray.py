@@ -4,6 +4,7 @@ checkpoint/resume, and the glyph-stream stage."""
 import os
 
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from tensorflow_ocr_ray.fixtures import (
@@ -54,7 +55,8 @@ def test_span_sequence_equality(ray_session, golden, num_blocks):
 def test_plan_is_one_map_per_document_batch(ray_session, golden):
     """The flagship plan is ``FromArrow → Repartition → MapBatches(
     ocr_span_batch)``: explode, score and reassemble share one task per
-    document batch, with no ``Sort`` or shuffle barrier."""
+    block (Ray hands the function whole blocks, ``batch_size=None``),
+    with no ``Sort`` or shuffle barrier."""
     import ray.data as rd
 
     from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
@@ -70,6 +72,109 @@ def test_plan_is_one_map_per_document_batch(ray_session, golden):
     assert names == ["MapBatches(ocr_span_batch)", "Repartition",
                      "FromArrow"]
     assert "Sort" not in names
+    assert out._logical_plan.dag._batch_size is None
+
+
+def _with_empty_docs(docs: pa.Table, at: list[int]) -> pa.Table:
+    """``docs`` with an empty document inserted before each row in
+    ``at`` (``len(docs)`` appends)."""
+    from tensorflow_ocr_ray.fixtures import DOCUMENTS_SCHEMA
+
+    rows = docs.to_pylist()
+    for k, i in enumerate(sorted(at, reverse=True)):
+        rows.insert(i, {"doc_id": f"doc-empty-{k}", "spans": []})
+    return pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
+
+
+def test_scorer_slices_are_bounded_and_exact(ray_session, monkeypatch):
+    """The plan's function, run in-process on one block at a time, hands
+    the scorer at most ``batch_size`` documents per call, and the calls
+    together see every span row of the block exactly once and in order
+    (zero-copy slices cut at document boundaries).  Covered: a document
+    count that is not a multiple of ``batch_size``, empty documents
+    (also a run of them longer than a slice), and a block that is a
+    non-zero-offset slice of a larger table.  A block without media rows
+    makes no scorer call."""
+    import ray.data as rd
+
+    from tensorflow_ocr_ray.fixtures import DOCUMENTS_SCHEMA
+    from tensorflow_ocr_ray.pipelines.ocr_pipeline import (
+        EMPTY_DOC_KIND,
+        explode_documents,
+        ocr_documents,
+    )
+    from tensorflow_ocr_ray.stages import ocr_stages
+
+    batch_size = 3
+    calls = []
+
+    def spy(key, kwargs):
+        def score(batch):
+            calls.append(batch)
+            return batch
+
+        return score
+
+    monkeypatch.setattr(ocr_stages, "_worker_stage", spy)
+    docs = generate_documents(11, seed=SEED)
+    out = ocr_documents(rd.from_arrow(docs), concurrency=1,
+                        batch_size=batch_size)
+    fn = out._logical_plan.dag._fn
+
+    big = _with_empty_docs(generate_documents(40, seed=SEED + 1),
+                           [0, 5, 5, 5, 5, 40])
+    sliced = big.slice(3, 20)
+    assert sliced.column("spans").chunk(0).offset == 3
+    for block in (docs, big, sliced, big.slice(37)):
+        calls.clear()
+        got = fn(block)
+        spans = explode_documents(block)
+        rows = spans.filter(pc.not_equal(spans.column("kind"),
+                                         EMPTY_DOC_KIND))
+        assert calls, "a block with media rows is scored"
+        assert all(len(set(c.column("doc_id").to_pylist())) <= batch_size
+                   for c in calls)
+        assert all(c.num_rows > 0 for c in calls)
+        assert pa.concat_tables(calls).equals(rows)
+        assert _span_seq(got) == _span_seq(block)
+
+    text_only = pa.Table.from_pylist(
+        [{"doc_id": f"t{i}", "spans": [
+            {"kind": "text", "text": "x", "media_ref": "", "offset": 0}
+        ]} for i in range(5)] + [{"doc_id": "e", "spans": []}],
+        schema=DOCUMENTS_SCHEMA,
+    )
+    calls.clear()
+    assert _span_seq(fn(text_only)) == _span_seq(text_only)
+    assert calls == []
+
+
+def test_rows_sharing_a_doc_id_merge_within_a_block(ray_session):
+    """``doc_id`` is the key: two input rows of one document in the same
+    block come out as one row whose spans are sorted by offset, even when
+    ``batch_size`` puts the rows into different scorer slices."""
+    import ray.data as rd
+
+    from tensorflow_ocr_ray.fixtures import DOCUMENTS_SCHEMA
+    from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
+
+    def span(off):
+        return {"kind": "text", "text": f"s{off}", "media_ref": "",
+                "offset": off}
+
+    docs = pa.Table.from_pylist(
+        [
+            {"doc_id": "d", "spans": [span(1), span(3)]},
+            {"doc_id": "e", "spans": [span(0)]},
+            {"doc_id": "d", "spans": [span(2), span(0)]},
+        ],
+        schema=DOCUMENTS_SCHEMA,
+    )
+    out = ocr_documents(rd.from_arrow(docs), concurrency=1,
+                        batch_size=1).take_all()
+    assert sorted(r["doc_id"] for r in out) == ["d", "e"]
+    got = {r["doc_id"]: [s["text"] for s in r["spans"]] for r in out}
+    assert got == {"d": ["s0", "s1", "s2", "s3"], "e": ["s0"]}
 
 
 def test_span_sequence_equality_trained_scorer(ray_session):
@@ -234,11 +339,15 @@ def test_skewed_span_counts(ray_session):
     assert len(got["doc-heavy"]) == 40
 
 
-@pytest.mark.parametrize("batch_size", [4, 1])
-def test_zero_span_documents_survive(ray_session, batch_size):
-    """A document with an empty spans list must round-trip the exploded
-    plan (sentinel row), not silently disappear — also when a batch holds
-    nothing but the empty document (``batch_size=1``)."""
+@pytest.mark.parametrize(
+    "batch_size,num_blocks", [(4, None), (1, None), (1, 2), (1, 5)],
+    ids=["4", "1", "empty_doc_alone_in_a_block", "blocks_without_rows"],
+)
+def test_zero_span_documents_survive(ray_session, batch_size, num_blocks):
+    """A document with an empty spans list must round-trip the plan
+    (sentinel row), not silently disappear — also when a block holds
+    nothing but the empty document (``num_blocks=2``) and when some
+    blocks hold no rows at all (more blocks than documents)."""
     import pyarrow as pa
     import ray.data as rd
 
@@ -255,7 +364,7 @@ def test_zero_span_documents_survive(ray_session, batch_size):
         schema=DOCUMENTS_SCHEMA,
     )
     out = ocr_documents(rd.from_arrow(docs), concurrency=1,
-                        batch_size=batch_size)
+                        batch_size=batch_size, num_blocks=num_blocks)
     got = _span_seq(pa.Table.from_pandas(out.to_pandas()))
     assert got == {
         "doc-empty": [],
