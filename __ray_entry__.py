@@ -18,16 +18,31 @@ from collections.abc import Callable
 from typing import Any
 
 
+def _fixture_doc_count(sf_dir: str) -> int:
+    """Documents in the fixture corpora of an sf tier."""
+    return {"sf0.001": 24, "sf0.01": 64, "sf0.1": 160}.get(
+        sf_dir.rstrip("/").rsplit("/", 1)[-1], 64
+    )
+
+
 def _fixture_docs(sf_dir: str, seed: int = 42):
     """Deterministic interleaved-documents corpus sized by the sf tier."""
     import ray.data as rd
 
     from tensorflow_ocr_ray.fixtures import generate_documents
 
-    n = {"sf0.001": 24, "sf0.01": 64, "sf0.1": 160}.get(
-        sf_dir.rstrip("/").rsplit("/", 1)[-1], 64
-    )
+    n = _fixture_doc_count(sf_dir)
     return rd.from_arrow(generate_documents(n, seed=seed)), n
+
+
+def _fixture_web_docs(sf_dir: str):
+    """The web-shaped twin of :func:`_fixture_docs` (html spans)."""
+    import ray.data as rd
+
+    from tensorflow_ocr_ray.fixtures import generate_web_documents
+
+    return rd.from_arrow(
+        generate_web_documents(_fixture_doc_count(sf_dir), seed=42))
 
 
 def entry() -> Any:
@@ -43,8 +58,6 @@ def entry() -> Any:
 # ---------------- OCR pipeline probes (rows-only: not SQL-expressible) ----
 
 def _ocr_exploded(sf_dir: str):
-    import pyarrow as pa
-
     from tensorflow_ocr_ray.pipelines.ocr_pipeline import (
         explode_documents,
         ocr_documents,
@@ -60,18 +73,14 @@ def _extract_interleaved(sf_dir: str):
     spans boilerplate-stripped, media spans OCR'd, text spans pass;
     span sequence preserved.  Exploded back to span rows for a stable
     flat schema."""
-    import ray.data as rd
-
-    from tensorflow_ocr_ray.fixtures import generate_web_documents
-    from tensorflow_ocr_ray.pipelines.extract import extract_documents
-    from tensorflow_ocr_ray.pipelines.ocr_pipeline import explode_documents
-
-    n = {"sf0.001": 24, "sf0.01": 64, "sf0.1": 160}.get(
-        sf_dir.rstrip("/").rsplit("/", 1)[-1], 64
+    from tensorflow_ocr_ray.pipelines.ocr_pipeline import (
+        explode_documents,
+        ocr_documents,
     )
-    ds = rd.from_arrow(generate_web_documents(n, seed=42))
-    out = extract_documents(
-        ds, concurrency=None, batch_size=16, num_blocks=8
+
+    out = ocr_documents(
+        _fixture_web_docs(sf_dir), concurrency=None, batch_size=16,
+        num_blocks=8,
     )
     return out.map_batches(explode_documents, batch_format="pyarrow")
 
@@ -80,31 +89,17 @@ def _media_caption_pairs(sf_dir: str):
     """Caption-context pairs over the interleaved web corpus: each
     media span paired with the extracted text of the nearest preceding
     text/html span — zero-shuffle over the nested span rows."""
-    import ray.data as rd
-
-    from tensorflow_ocr_ray.fixtures import generate_web_documents
     from tensorflow_ocr_ray.pipelines.extract import media_caption_pairs
 
-    n = {"sf0.001": 24, "sf0.01": 64, "sf0.1": 160}.get(
-        sf_dir.rstrip("/").rsplit("/", 1)[-1], 64
-    )
-    ds = rd.from_arrow(generate_web_documents(n, seed=42))
-    return media_caption_pairs(ds)
+    return media_caption_pairs(_fixture_web_docs(sf_dir))
 
 
 def _span_kind_transitions(sf_dir: str):
     """Span-kind bigram grid over the interleaved web corpus —
     zero-copy nested walk, bounded |kinds|^2 output, no shuffle."""
-    import ray.data as rd
-
-    from tensorflow_ocr_ray.fixtures import generate_web_documents
     from tensorflow_ocr_ray.pipelines.extract import span_kind_transitions
 
-    n = {"sf0.001": 24, "sf0.01": 64, "sf0.1": 160}.get(
-        sf_dir.rstrip("/").rsplit("/", 1)[-1], 64
-    )
-    ds = rd.from_arrow(generate_web_documents(n, seed=42))
-    return span_kind_transitions(ds)
+    return span_kind_transitions(_fixture_web_docs(sf_dir))
 
 
 def _ocr_flood(sf_dir: str):
@@ -363,8 +358,6 @@ def _media_pdf_pages(sf_dir: str):
     tool), featurized by the ImageStatsStage actor pool.  Rows-only
     (binarized ink geometry is not SQL-expressible); deterministic
     synthesis keeps the driver's row/schema check stable across runs."""
-    import numpy as np
-    import pyarrow as pa
     import ray.data as rd
 
     from tensorflow_ocr_ray.stages.multimodal import ImageStatsStage
@@ -486,9 +479,6 @@ def _media_gif_frames(sf_dir: str):
     then per-frame ink counted.  Frame geometry is arithmetic in
     doc_id, so the DuckDB oracle reproduces (media_ref, frame_idx, ink)
     exactly — the decode path is hash-checked end to end."""
-    import struct
-
-    import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
@@ -536,9 +526,6 @@ def _media_avi_frames(sf_dir: str):
     per-frame ink counted — so the same DuckDB arithmetic oracle
     shape hash-checks the AVI container + DIB palette decode path end
     to end."""
-    import struct
-
-    import numpy as np
     import pyarrow as pa
     import ray.data as rd
 
@@ -547,13 +534,6 @@ def _media_avi_frames(sf_dir: str):
     docs = rd.read_parquet(
         f"{sf_dir}/documents.parquet", columns=["doc_id"]
     )
-
-    def _chunk(cid: bytes, body: bytes) -> bytes:
-        pad = b"\x00" if len(body) % 2 else b""
-        return cid + struct.pack("<I", len(body)) + body + pad
-
-    def _list(kind: bytes, body: bytes) -> bytes:
-        return _chunk(b"LIST", kind + body)
 
     def synth(df):
         return _avi_payloads(df)
@@ -1378,7 +1358,6 @@ def _media_tiff_ink(sf_dir: str):
     (core/raster.py, core/ccitt.py, core/tiff_lzw.py) against the
     arithmetic ink oracle.  The OCR corpus exercises TIFF via span
     equality; this query adds the direct per-codec hash check."""
-    import numpy as np
     import pyarrow as pa
     import ray.data as rd
 

@@ -1,9 +1,12 @@
 """Benchmark harness — one JSON line to stdout.
 
 Modes:
-  python bench.py                 # headline pipelines over $GRAFT_SF_DIR
-  python bench.py --ocr-only      # just the OCR doc pipeline (used by --scaling)
-  python bench.py --scaling       # same OCR job at 2 vs 8 CPUs in fresh
+  python bench.py                 # the flagship over the plain corpus
+                                  # ("ocr") and the web corpus ("extract"),
+                                  # plus headline queries over $GRAFT_SF_DIR
+  python bench.py --ocr-only      # just the flagship over the plain corpus
+                                  # (used by --scaling)
+  python bench.py --scaling       # same job at 2 vs 8 CPUs in fresh
                                   # processes; reports both throughputs +
                                   # scaling efficiency and updates
                                   # BENCH/BASELINE.md
@@ -22,6 +25,7 @@ import sys
 import time
 
 DEFAULT_SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
+SEED = 42  # of the fixture corpora
 
 # OCR corpus sizes per sf tier (docs; ~2.3 media spans/doc, ~4.5ms/page/
 # core — sized so scorer-pool startup amortizes and the headline reflects
@@ -61,65 +65,46 @@ def _init_ray(num_cpus: int):
     return ray
 
 
-def _materialize_media(docs, num_docs: int, seed: int) -> str:
+def _materialize_media(docs) -> str:
     """Pre-encode every media payload into a shared dir store (one file
     per ref) OUTSIDE the timed window — a real deployment reads payload
     bytes from object storage; rendering+encoding them is corpus
     *generation*, not pipeline work.  Cached across bench invocations
     (deterministic fixtures), so the scaling subprocesses reuse it."""
-    import ray
+    from tensorflow_ocr_ray.fixtures import materialize_media
 
-    root = f"/tmp/graft_media_s{seed}_n{num_docs}"
+    root = f"/tmp/graft_media_s{SEED}_n{len(docs)}"
     marker = os.path.join(root, "_COMPLETE")
-    refs = sorted(
-        {s["media_ref"] for r in docs.to_pylist() for s in r["spans"]
-         if s["kind"] == "media"}
-    )
+    refs = {s["media_ref"] for r in docs.to_pylist() for s in r["spans"]
+            if s["kind"] == "media"}
     if os.path.exists(marker):
         with open(marker) as f:
             if f.read().strip() == str(len(refs)):
                 return root
-
-    @ray.remote
-    def write(chunk: list[str]) -> int:
-        from tensorflow_ocr_ray.fixtures import payload_for_ref
-        from tensorflow_ocr_ray.state.media import DirMediaStore
-
-        for ref in chunk:
-            DirMediaStore.put(root, ref, payload_for_ref(ref))
-        return len(chunk)
-
-    chunks = [refs[i::64] for i in range(64)]
-    ray.get([write.remote(c) for c in chunks if c])
+    materialize_media(root, refs)
     with open(marker, "w") as f:
         f.write(str(len(refs)))
     return root
 
 
-def bench_ocr(
-    num_docs: int, num_cpus: int, seed: int = 42,
-    concurrency: int | None = None,
+def bench_flagship(
+    docs, media_root: str, num_cpus: int, concurrency: int | None = None,
 ) -> dict:
-    """The headline: interleaved docs → OCR'd docs, one task per
-    block."""
+    """The headline: interleaved docs → extracted docs (html spans
+    stripped, media spans OCR'd), one task per block."""
     import ray.data as rd
 
-    from tensorflow_ocr_ray.fixtures import generate_documents
     from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
 
-    docs = generate_documents(num_docs, seed=seed)
-    n_media = sum(
-        1 for r in docs.to_pylist() for s in r["spans"] if s["kind"] == "media"
-    )
-    media_root = _materialize_media(docs, num_docs, seed)
+    kinds = [s["kind"] for r in docs.to_pylist() for s in r["spans"]]
+    n_media = kinds.count("media")
     best = None
     # best-of-2: the host shows large uncontrolled CPU steal (load avg
     # >8 with zero own processes); interference only slows a run
     for _ in range(2):
         t0 = time.time()
-        ds = rd.from_arrow(docs)
         out = ocr_documents(
-            ds,
+            rd.from_arrow(docs),
             media_spec={"kind": "dir", "path": media_root},
             # default: at most N-1 scorer tasks in flight, leaving one
             # CPU for the document repartition and the driver.  Scaling
@@ -132,63 +117,16 @@ def bench_ocr(
         )
         n_out = out.count()
         elapsed = time.time() - t0
-        assert n_out == num_docs, (n_out, num_docs)
+        assert n_out == len(docs), (n_out, len(docs))
         if best is None or elapsed < best:
             best = elapsed
     return {
-        "docs": num_docs,
+        "docs": len(docs),
         "media_spans": n_media,
+        "html_spans": kinds.count("html"),
         "sec": round(best, 3),
-        "docs_per_sec": round(num_docs / best, 2),
+        "docs_per_sec": round(len(docs) / best, 2),
         "pages_per_sec": round(n_media / best, 2),
-    }
-
-
-def bench_extract(
-    num_docs: int, num_cpus: int, seed: int = 42,
-    concurrency: int | None = None,
-) -> dict:
-    """The north-rule flagship: interleaved WEB docs (text spans are
-    boilerplate-wrapped html) → strip + OCR in the same task per
-    block.  Same plan as ``bench_ocr`` plus the html strip
-    step, so the two timings isolate the extraction increment."""
-    import ray.data as rd
-
-    from tensorflow_ocr_ray.fixtures import (
-        generate_documents,
-        generate_web_documents,
-    )
-    from tensorflow_ocr_ray.pipelines.extract import extract_documents
-
-    docs = generate_web_documents(num_docs, seed=seed)
-    n_html = sum(
-        1 for r in docs.to_pylist() for s in r["spans"] if s["kind"] == "html"
-    )
-    # media refs are identical to the plain corpus -> reuse its store
-    media_root = _materialize_media(
-        generate_documents(num_docs, seed=seed), num_docs, seed)
-    best = None
-    for _ in range(2):
-        t0 = time.time()
-        ds = rd.from_arrow(docs)
-        out = extract_documents(
-            ds,
-            media_spec={"kind": "dir", "path": media_root},
-            concurrency=concurrency or max(1, num_cpus - 1),
-            batch_size=16,
-            num_blocks=int(os.environ.get("GRAFT_OCR_BLOCKS", 0))
-            or 4 * num_cpus,
-        )
-        n_out = out.count()
-        elapsed = time.time() - t0
-        assert n_out == num_docs, (n_out, num_docs)
-        if best is None or elapsed < best:
-            best = elapsed
-    return {
-        "docs": num_docs,
-        "html_spans": n_html,
-        "sec": round(best, 3),
-        "docs_per_sec": round(num_docs / best, 2),
     }
 
 
@@ -200,7 +138,7 @@ def bench_queries(sf_dir: str) -> dict[str, float]:
     qs = entry.queries()
     out: dict[str, float] = {}
     for name in QUERY_NAMES:
-        # best-of-2, same rationale as bench_ocr: ambient host load
+        # best-of-2, same rationale as bench_flagship: ambient host load
         # only ever SLOWS a run (r4's driver bench read 1.4-2.7x high
         # on unchanged code), so the min is the noise-rejected reading;
         # the driver memo is cleared first so no rep is a memo hit
@@ -219,39 +157,42 @@ def bench_queries(sf_dir: str) -> dict[str, float]:
 
 
 def run_once(sf_dir: str, num_cpus: int, ocr_only: bool, ocr_docs: int | None,
-             ocr_concurrency: int | None = None,
-             pipeline: str = "ocr") -> dict:
+             ocr_concurrency: int | None = None) -> dict:
+    from tensorflow_ocr_ray.fixtures import (
+        generate_documents,
+        generate_web_documents,
+    )
+
     ray = _init_ray(num_cpus)
     sf_name = sf_dir.rstrip("/").rsplit("/", 1)[-1]
     n_docs = ocr_docs or OCR_DOCS.get(sf_name, 1000)
-    flagship_fn = bench_extract if pipeline == "extract" else bench_ocr
-    ocr = flagship_fn(n_docs, num_cpus, concurrency=ocr_concurrency)
-    queries: dict[str, float] = {f"{pipeline}_documents": ocr["sec"]}
+    docs = generate_documents(n_docs, seed=SEED)
+    media_root = _materialize_media(docs)
+    ocr = bench_flagship(docs, media_root, num_cpus, ocr_concurrency)
+    queries: dict[str, float] = {"ocr_documents": ocr["sec"]}
     if not ocr_only:
         queries.update(bench_queries(sf_dir))
-    total = round(sum(queries.values()), 3)
-    # the north-rule extraction flagship rides as its own section (same
-    # plan + the html strip stage) so `value` stays comparable across
-    # rounds while the extraction throughput is still on record
-    extract = None if (ocr_only or pipeline != "ocr") else bench_extract(
-        n_docs, num_cpus, concurrency=ocr_concurrency)
     result = {
         "metric": "documents/sec (media-span OCR) + headline query wall time",
-        "value": total,
+        "value": round(sum(queries.values()), 3),
         "unit": "sec",
         "queries": queries,
         "sf": sf_name,
         "num_cpus": num_cpus,
         "ocr": ocr,
     }
-    if extract is not None:
-        result["extract"] = extract
+    if not ocr_only:
+        # the same flagship over the web corpus rides as its own section
+        # so `value` stays comparable across rounds; its media refs are
+        # the plain corpus's, so it reads the same store
+        result["extract"] = bench_flagship(
+            generate_web_documents(n_docs, seed=SEED), media_root,
+            num_cpus, ocr_concurrency)
     ray.shutdown()
     return result
 
 
-def run_scaling(sf_dir: str, low: int = 2, high: int = 8,
-                pipeline: str = "ocr") -> dict:
+def run_scaling(sf_dir: str, low: int = 2, high: int = 8) -> dict:
     """Same job, two parallelism levels (N and 4N), fresh processes
     (BASELINE.md scaling-evidence protocol); efficiency =
     thr_high / (scale · thr_low).
@@ -287,7 +228,6 @@ def run_scaling(sf_dir: str, low: int = 2, high: int = 8,
             # the two levels are true N- vs 4N-shaped configs
             proc = subprocess.run(
                 [sys.executable, os.path.abspath(__file__), "--ocr-only",
-                 "--pipeline", pipeline,
                  "--ocr-docs", str(SCALING_DOCS),
                  "--ocr-concurrency", str(max(1, cpus // 2))],
                 env=env, capture_output=True, text=True, timeout=1800,
@@ -303,8 +243,7 @@ def run_scaling(sf_dir: str, low: int = 2, high: int = 8,
     thr_high = results[high]["ocr"]["docs_per_sec"]
     eff = thr_high / (scale * thr_low)
     out = {
-        "metric": f"scaling efficiency (docs/sec, {pipeline} flagship)",
-        "pipeline": pipeline,
+        "metric": "scaling efficiency (docs/sec, flagship)",
         "value": round(eff, 4),
         "unit": "efficiency",
         "sf": results[low]["sf"],
@@ -328,44 +267,12 @@ def run_scaling(sf_dir: str, low: int = 2, high: int = 8,
 def _write_scaling_md(r: dict) -> None:
     os.makedirs("BENCH", exist_ok=True)
     path = os.path.join("BENCH", "BASELINE.md")
-    if r.get("pipeline", "ocr") != "ocr":
-        # non-OCR flagship: its own replaceable section appended after
-        # whatever is already in the file (the OCR section is the
-        # headline; this one is the north-rule extraction datapoint)
-        header = f"\n## Extraction flagship scaling ({r['pipeline']})\n"
-        prev = open(path).read() if os.path.exists(path) else ""
-        i = prev.find(header)
-        if i != -1:
-            j = prev.find("\n## ", i + 1)
-            prev = prev[:i] + (prev[j:] if j != -1 else "")
-        lo, hi = r["low_cpus"], r["high_cpus"]
-        with open(path, "w") as f:
-            f.write(prev)
-            f.write(
-                header +
-                "\nSame protocol as the OCR table above (fresh processes,\n"
-                "best-of-3 per level, constant scorer:CPU ratio), but the\n"
-                "combined web-extraction flagship: html spans strip\n"
-                "boilerplate, media spans OCR, text spans pass through —\n"
-                "one task per block, span order preserved.\n\n"
-                f"| docs | CPUs | wall sec | docs/sec |\n|---|---|---|---|\n"
-                f"| {r['docs']} | {lo} | "
-                f"{r['queries']['ocr@%dcpus' % lo]} | "
-                f"{r['docs_per_sec_low']} |\n"
-                f"| {r['docs']} | {hi} | "
-                f"{r['queries']['ocr@%dcpus' % hi]} | "
-                f"{r['docs_per_sec_high']} |\n\n"
-                f"**Scaling efficiency** = thr_{hi} / "
-                f"({hi // lo} x thr_{lo}) = **{r['value']}** "
-                "(target >= 0.8)\n"
-            )
-        return
-    # preserve the --scaling-query second-datapoint section across
-    # rewrites of the flagship section
+    # rewrite the headline section; keep every "## " section after it
+    # (second datapoints, earlier rounds) as it is
     extra = ""
     if os.path.exists(path):
         prev = open(path).read()
-        i = prev.find("\n## Second datapoint")
+        i = prev.find("\n## ")
         if i != -1:
             extra = prev[i:]
     with open(path, "w") as f:
@@ -522,14 +429,11 @@ def main() -> int:
     ap.add_argument("--ocr-only", action="store_true")
     ap.add_argument("--ocr-docs", type=int, default=None)
     ap.add_argument("--ocr-concurrency", type=int, default=None)
-    ap.add_argument("--pipeline", default="ocr", choices=["ocr", "extract"],
-                    help="flagship to time: media-span OCR (default) or "
-                         "the combined web-extraction (html strip + OCR)")
     ap.add_argument("--sf-dir", default=DEFAULT_SF_DIR)
     args = ap.parse_args()
 
     if args.scaling:
-        result = run_scaling(args.sf_dir, pipeline=args.pipeline)
+        result = run_scaling(args.sf_dir)
     elif args.scaling_query:
         result = run_scaling_query(args.sf_dir)
     elif args.query_bench:
@@ -539,7 +443,7 @@ def main() -> int:
     else:
         num_cpus = int(os.environ.get("RAY_GRAFT_CPUS", 32))
         result = run_once(args.sf_dir, num_cpus, args.ocr_only, args.ocr_docs,
-                          args.ocr_concurrency, pipeline=args.pipeline)
+                          args.ocr_concurrency)
     print(json.dumps(result))
     return 0
 

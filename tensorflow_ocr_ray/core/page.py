@@ -200,12 +200,6 @@ def ocr_payload(
     carry ``page_idx``.  Positional ``predictions`` consume across pages
     continuously, exactly like the reference's shared file cursor."""
     pages = decode_payload_pages(payload, cfg.cutoff)
-    if len(pages) == 1:
-        return ocr_page_image(
-            pages[0], cfg, index, collect_glyphs=collect_glyphs,
-            predictions=predictions, classifier=classifier,
-            classifier_input=classifier_input,
-        )
     texts: list[str] = []
     glyphs: list[GlyphRecord] = []
     total = 0

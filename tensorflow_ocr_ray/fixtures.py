@@ -283,13 +283,9 @@ def expected_documents(docs: pa.Table) -> pa.Table:
     return pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
 
 
-def generate_web_documents(num_docs: int, seed: int = 42) -> pa.Table:
-    """The EXTRACTION-tier input: the same interleaved corpus, but every
-    ``text`` span is a full HTML page (the span's clean text wrapped in
-    deterministic boilerplate chrome — nav/header/aside/footer +
-    script/style/comment noise) with ``kind`` = ``html``.  Media spans
-    are untouched.  ``pipelines/extract.extract_documents`` must recover
-    :func:`expected_web_documents` exactly."""
+def _web_doc_rows(num_docs: int, seed: int) -> list[dict]:
+    """:func:`_doc_rows` with every ``text`` span turned into an ``html``
+    span holding its text wrapped in boilerplate chrome."""
     from tensorflow_ocr_ray.functions.html_extract import wrap_in_boilerplate
 
     rows = _doc_rows(num_docs, seed)
@@ -299,7 +295,18 @@ def generate_web_documents(num_docs: int, seed: int = 42) -> pa.Table:
                 span["kind"] = "html"
                 span["text"] = wrap_in_boilerplate(row["doc_id"],
                                                    span["text"])
-    return pa.Table.from_pylist(rows, schema=DOCUMENTS_SCHEMA)
+    return rows
+
+
+def generate_web_documents(num_docs: int, seed: int = 42) -> pa.Table:
+    """The web-shaped input: the same interleaved corpus, but every
+    ``text`` span is a full HTML page (the span's clean text wrapped in
+    deterministic boilerplate chrome — nav/header/aside/footer +
+    script/style/comment noise) with ``kind`` = ``html``.  Media spans
+    are untouched.  ``pipelines/ocr_pipeline.ocr_documents`` must
+    recover :func:`expected_web_documents` exactly."""
+    return pa.Table.from_pylist(_web_doc_rows(num_docs, seed),
+                                schema=DOCUMENTS_SCHEMA)
 
 
 def expected_web_documents(num_docs: int, seed: int = 42) -> pa.Table:
@@ -320,26 +327,15 @@ def write_documents_parquet(path: str, num_docs: int, seed: int = 42,
                             num_files: int = 1,
                             web: bool = False) -> list[str]:
     """Write the corpus as partitioned parquet (one file per partition).
-    ``web=True`` writes the EXTRACTION-tier shape instead: text spans
-    become boilerplate-wrapped html spans (:func:`generate_web_documents`
+    ``web=True`` writes the web shape instead: text spans become
+    boilerplate-wrapped html spans (:func:`generate_web_documents`
     semantics)."""
     import os
 
     import pyarrow.parquet as pq
 
     os.makedirs(path, exist_ok=True)
-    rows = _doc_rows(num_docs, seed)
-    if web:
-        from tensorflow_ocr_ray.functions.html_extract import (
-            wrap_in_boilerplate,
-        )
-
-        for row in rows:
-            for span in row["spans"]:
-                if span["kind"] == "text":
-                    span["kind"] = "html"
-                    span["text"] = wrap_in_boilerplate(row["doc_id"],
-                                                       span["text"])
+    rows = (_web_doc_rows if web else _doc_rows)(num_docs, seed)
     files = []
     per = (num_docs + num_files - 1) // num_files
     done = 0
@@ -353,6 +349,25 @@ def write_documents_parquet(path: str, num_docs: int, seed: int = 42,
         files.append(f)
         done += n
     return files
+
+
+def materialize_media(root: str, refs: set[str]) -> None:
+    """Write every ref's :func:`payload_for_ref` into the
+    ``DirMediaStore`` at ``root`` (one file per ref), spread over 64 Ray
+    tasks — the payload read of a deployment, prepared ahead of a run.
+    Needs a Ray session."""
+    import ray
+
+    refs = sorted(refs)
+
+    @ray.remote
+    def write(chunk: list[str]) -> None:
+        from tensorflow_ocr_ray.state.media import DirMediaStore
+
+        for ref in chunk:
+            DirMediaStore.put(root, ref, payload_for_ref(ref))
+
+    ray.get([write.remote(refs[i::64]) for i in range(min(64, len(refs)))])
 
 
 def vector_pdf_for_spec(spec: PageSpec, dpi: int = 400) -> bytes:

@@ -79,9 +79,8 @@ def _span_ok(s: dict) -> bool:
 def span_equal_rate_vs_truth(written: "ray.data.Dataset") -> float:
     """Fraction of documents whose output span sequence equals the
     analytic fixture truth (media spans) and is markup/chrome-free
-    (html spans of the extraction pipeline) — only meaningful for
-    synthetic-store corpora (fixture refs); real corpora have no oracle
-    and skip this."""
+    (html spans) — only meaningful for synthetic-store corpora
+    (fixture refs); real corpora have no oracle and skip this."""
     equal = total = 0
     for b in written.iter_batches(batch_format="pyarrow"):
         for row in b.to_pylist():
@@ -96,14 +95,9 @@ def run_checkpointed(
     pipeline_kwargs: dict | None = None,
     verify_against_truth: bool = False,
     force_partitions: set[int] | None = None,
-    pipeline_fn=None,
 ) -> list[PartitionReport]:
-    """Run (or resume) the OCR pipeline partition by partition.
-
-    ``pipeline_fn`` swaps the per-partition Dataset transform (default
-    :func:`ocr_documents`; pass ``pipelines.extract.extract_documents``
-    for the combined web-extraction flagship — same signature, html
-    spans stripped ahead of the scorer pool).
+    """Run (or resume) the flagship :func:`ocr_documents` partition by
+    partition.
 
     Within a partition, Ray Data parallelizes across the cluster; across
     partitions we get restartability.  Each partition's output is its own
@@ -116,8 +110,6 @@ def run_checkpointed(
     manifest says done (the "redo column" path of interactive training —
     the index changed, not the input)."""
     pipeline_kwargs = pipeline_kwargs or {}
-    if pipeline_fn is None:
-        pipeline_fn = ocr_documents
     force = force_partitions or set()
     # partition identity is the sanitized basename; two inputs mapping to
     # the same name would silently share one manifest + output dir
@@ -149,7 +141,7 @@ def run_checkpointed(
                 continue
         t0 = time.time()
         ds = ray.data.read_parquet(path)
-        out = pipeline_fn(ds, **pipeline_kwargs)
+        out = ocr_documents(ds, **pipeline_kwargs)
         part_dir = os.path.join(out_dir, f"part={name}")
         # a partial/stale run must not leave output files behind: the
         # partition dir is rebuilt atomically w.r.t. the manifest (manifest

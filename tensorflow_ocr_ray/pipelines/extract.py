@@ -1,31 +1,31 @@
-"""Main-content extraction over interleaved documents — the full
-extraction tier in ONE streamed pass.
+"""Main-content extraction over interleaved documents.
 
 The north-star shape (BASELINE.json north_rule): documents are span
 sequences mixing modalities — ``html`` spans carry raw markup (chrome:
 nav/header/aside/footer, script/style noise), ``media`` spans reference
 scanned-page payloads, plain ``text`` spans are already clean.  One
-pipeline extracts everything:
+pipeline, :func:`ocr_documents`, extracts everything:
 
-- ``html``  → DOM-block boilerplate strip (``functions/html_extract``,
-  readability-style link-density heuristics), one call per span whose
-  block scan runs in the native kernel library, right after the
-  explode;
+- ``html``  → DOM-block boilerplate strip (:func:`strip_html_spans` over
+  ``functions/html_extract``, readability-style link-density
+  heuristics), one call per span whose block scan runs in the native
+  kernel library, once per block right after the explode;
 - ``media`` → the OCR scorer stage (segmentation → kNN/CNN classify →
   line assembly), the heavy stateful stage (reference recognition path,
   ``main/ocr.c``);
 - ``text``  → passes through untouched.
 
 Span-sequence equality ``(kind, text, media_ref, order)`` is preserved
-exactly — the strip stage rewrites only ``text`` of ``html`` rows, and
-the plan is :func:`ocr_documents`'s with one extra step inside its
-per-block task (explode → strip → score per ``batch_size`` documents →
-reassemble; the strip runs once over the whole block), so everything
-measured about the flagship applies unchanged.
+exactly — the strip rewrites only ``text`` of ``html`` rows, and a block
+without html rows passes it unchanged.
 
 Scale note: the strip is per-string work with no state, so it costs
 task time in the same task as the scorer; html-heavy corpora shift time
 within that task, never into a shuffle.
+
+The rest of the module holds the markup and layout queries of the
+registry: PDF layout text, html tables and links, caption pairs, web
+curation and span-kind transitions.
 """
 
 from __future__ import annotations
@@ -72,16 +72,8 @@ def strip_html_spans(batch: pa.Table) -> pa.Table:
     )
 
 
-def extract_documents(
-    ds: "ray.data.Dataset", **ocr_kwargs
-) -> "ray.data.Dataset":
-    """The combined extraction pipeline: :func:`ocr_documents`'s plan
-    with the HTML strip stage hooked in ahead of the scorer pool.
-    Accepts every ``ocr_documents`` knob except ``pre_score_transform``
-    (owned here)."""
-    return ocr_documents(
-        ds, pre_score_transform=strip_html_spans, **ocr_kwargs
-    )
+# the old name: perfbench/session.py still calls it; all else ocr_documents
+extract_documents = ocr_documents
 
 
 def pdf_layout_text(sf_dir: str) -> "ray.data.Dataset":

@@ -1,11 +1,12 @@
-"""The flagship OCR extraction pipeline over interleaved documents.
+"""The flagship extraction pipeline over interleaved documents.
 
 Input (BASELINE.json input_hint): a table
 ``(doc_id: string, spans: list<struct<kind, text, media_ref, offset>>)``.
-Output: same schema, with every media span's ``text`` filled by OCR; the
-per-document span sequence ``(kind, text, media_ref, order)`` is preserved
-exactly (the reference's ordering invariant, carried by explicit ordinal
-columns — never by block order).
+Output: same schema, with every ``html`` span's ``text`` stripped to its
+main content, every ``media`` span's ``text`` filled by OCR and ``text``
+spans passed through; the per-document span sequence ``(kind, text,
+media_ref, order)`` is preserved exactly (the reference's ordering
+invariant, carried by explicit ordinal columns — never by block order).
 
 One physical plan, one task per block:
 
@@ -13,12 +14,12 @@ One physical plan, one task per block:
 2. one task-pool ``map_batches(batch_size=None)`` whose function,
    ``ocr_span_batch``, gets a whole block of documents and runs every
    step in memory: explode to span rows (pure Arrow ``list_flatten`` +
-   ``list_parent_indices``) → optional span transform (the html strip
-   of ``pipelines/extract.py``) → the scorer from ``make_span_ocr_fn``
-   (media rows OCR'd, text rows pass) on zero-copy slices of
-   ``batch_size`` documents → reassembly into ``(doc_id, spans)`` rows.
-   Explode, transform and reassembly run once per block; only the
-   scorer runs per slice, which bounds its working set.
+   ``list_parent_indices``) → the html strip of ``pipelines/extract.py``
+   (one Arrow mask when the block holds no html rows) → the scorer from
+   ``make_span_ocr_fn`` (media rows OCR'd, text rows pass) on zero-copy
+   slices of ``batch_size`` documents → reassembly into ``(doc_id,
+   spans)`` rows.  Explode, strip and reassembly run once per block;
+   only the scorer runs per slice, which bounds its working set.
 
 There is no shuffle and no barrier: a document leaves as soon as its
 block is scored.  Ray's own per-batch cost (~0.8 ms per 16-document
@@ -148,9 +149,8 @@ def ocr_documents(
     scorer_spec: dict | None = None,
     ray_remote_args: dict | None = None,
     on_media_error: str = "raise",
-    pre_score_transform=None,
 ) -> "ray.data.Dataset":
-    """Build the lazy OCR Dataset; see the module docstring for the plan.
+    """Build the lazy flagship Dataset; see the module docstring for the plan.
 
     ``batch_size`` counts documents per scorer call: each block is scored
     in slices of ``batch_size`` whole documents, however many spans they
@@ -161,15 +161,10 @@ def ocr_documents(
 
     ``doc_id`` is the table's key: rows that share a ``doc_id`` are
     merged into one output row, spans sorted by offset, when they land
-    in the same block.
+    in the same block."""
+    # extract.py imports this module; the strip keeps its home there
+    from tensorflow_ocr_ray.pipelines.extract import strip_html_spans
 
-    ``pre_score_transform``: an Arrow ``Table → Table`` fn applied once
-    per block to its span rows right after the explode — the seam
-    ``pipelines/extract.py`` hangs the HTML boilerplate strip on, so one
-    pipeline extracts every modality in a single streamed pass.  It may
-    rewrite values but must keep the rows and their order, because the
-    scorer's slices are cut at document boundaries of the exploded
-    rows."""
     score = make_span_ocr_fn(dict(
         cfg=cfg,
         font_spec=font_spec,
@@ -180,9 +175,9 @@ def ocr_documents(
     ))
 
     def ocr_span_batch(block: pa.Table) -> pa.Table:
-        spans = explode_documents(block)
-        if pre_score_transform is not None:
-            spans = pre_score_transform(spans)
+        # the strip keeps the rows and their order, so the scorer's
+        # slices below still cut at document boundaries
+        spans = strip_html_spans(explode_documents(block))
         if pc.any(pc.equal(spans.column("kind"), "media")).as_py():
             # document i's rows end at the cumulative span count (a null
             # list counts 0, as in list_flatten, and a sliced block needs

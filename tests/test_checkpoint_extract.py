@@ -1,5 +1,5 @@
-"""Checkpointed EXTRACTION runs: the combined web flagship (html strip
-+ media OCR) through the partition-granular runner — golden equality,
+"""Checkpointed runs over the web corpus: the flagship (html strip +
+media OCR) through the partition-granular runner — golden equality,
 manifest truth metric, resume skip."""
 
 import glob
@@ -29,7 +29,6 @@ def test_checkpointed_extract_golden_and_resume(ray_session, tmp_path):
         read_manifest,
         run_checkpointed,
     )
-    from tensorflow_ocr_ray.pipelines.extract import extract_documents
 
     in_dir, out_dir = str(tmp_path / "in"), str(tmp_path / "out")
     n = 16
@@ -41,7 +40,6 @@ def test_checkpointed_extract_golden_and_resume(ray_session, tmp_path):
         files, out_dir,
         pipeline_kwargs=dict(concurrency=2, batch_size=8, num_blocks=2),
         verify_against_truth=True,
-        pipeline_fn=extract_documents,
     )
     assert [r.status for r in reports] == ["done", "done"]
     assert not any(r.skipped for r in reports)
@@ -61,7 +59,6 @@ def test_checkpointed_extract_golden_and_resume(ray_session, tmp_path):
     reports2 = run_checkpointed(
         files, out_dir,
         pipeline_kwargs=dict(concurrency=2, batch_size=8, num_blocks=2),
-        pipeline_fn=extract_documents,
     )
     assert all(r.skipped for r in reports2)
 

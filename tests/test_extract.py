@@ -110,12 +110,11 @@ def test_e2e_extract_documents_span_equality(ray_session):
     OCR truth."""
     import ray.data as rd
 
-    from tensorflow_ocr_ray.pipelines.extract import extract_documents
+    from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
 
     n = 12
     ds = rd.from_arrow(generate_web_documents(n, seed=42))
-    out = extract_documents(ds, concurrency=2, batch_size=16,
-                            num_blocks=4)
+    out = ocr_documents(ds, concurrency=2, batch_size=16, num_blocks=4)
     got = _spans_as_tuples(
         pa.Table.from_pandas(out.to_pandas())
     )

@@ -94,14 +94,21 @@ def test_scorer_slices_are_bounded_and_exact(ray_session, monkeypatch):
     count that is not a multiple of ``batch_size``, empty documents
     (also a run of them longer than a slice), and a block that is a
     non-zero-offset slice of a larger table.  A block without media rows
-    makes no scorer call."""
+    makes no scorer call.  The html strip is a fixed step: a block without
+    html rows comes out exactly as the plan without the strip gave it,
+    and a block with html rows comes out stripped."""
     import ray.data as rd
 
-    from tensorflow_ocr_ray.fixtures import DOCUMENTS_SCHEMA
+    from tensorflow_ocr_ray.fixtures import (
+        DOCUMENTS_SCHEMA,
+        generate_web_documents,
+    )
+    from tensorflow_ocr_ray.pipelines.extract import strip_html_spans
     from tensorflow_ocr_ray.pipelines.ocr_pipeline import (
         EMPTY_DOC_KIND,
         explode_documents,
         ocr_documents,
+        reassemble_group,
     )
     from tensorflow_ocr_ray.stages import ocr_stages
 
@@ -137,6 +144,9 @@ def test_scorer_slices_are_bounded_and_exact(ray_session, monkeypatch):
         assert all(c.num_rows > 0 for c in calls)
         assert pa.concat_tables(calls).equals(rows)
         assert _span_seq(got) == _span_seq(block)
+        # no html rows: the strip changes nothing, so the output is
+        # explode → identity scorer → reassemble, byte for byte
+        assert got.equals(reassemble_group(spans))
 
     text_only = pa.Table.from_pylist(
         [{"doc_id": f"t{i}", "spans": [
@@ -147,6 +157,12 @@ def test_scorer_slices_are_bounded_and_exact(ray_session, monkeypatch):
     calls.clear()
     assert _span_seq(fn(text_only)) == _span_seq(text_only)
     assert calls == []
+
+    web = generate_web_documents(8, seed=SEED)
+    got = fn(web)
+    assert got.equals(reassemble_group(strip_html_spans(
+        explode_documents(web))))
+    assert not got.equals(reassemble_group(explode_documents(web)))
 
 
 def test_rows_sharing_a_doc_id_merge_within_a_block(ray_session):

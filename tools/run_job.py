@@ -1,6 +1,7 @@
 """Cluster job entry point — the `ray job submit` driver.
 
-Runs the checkpointed OCR pipeline over a partitioned parquet corpus:
+Runs the checkpointed flagship (html spans stripped, media spans OCR'd,
+text spans passed) over a partitioned parquet corpus:
 
     python tools/run_job.py --input /data/docs --output /data/ocr_out \
         [--generate N] [--concurrency 31]
@@ -30,13 +31,9 @@ def main() -> int:
     ap.add_argument("--input", required=True, help="dir of documents parquet files")
     ap.add_argument("--output", required=True, help="output dir (partitioned)")
     ap.add_argument("--generate", type=int, default=0,
-                    help="generate a fixture corpus of N docs into --input first")
+                    help="generate a fixture corpus of N docs into --input "
+                         "first (web shape: html and media spans)")
     ap.add_argument("--num-files", type=int, default=8)
-    ap.add_argument("--pipeline", default="ocr", choices=["ocr", "extract"],
-                    help="'extract': the combined web-extraction flagship "
-                         "(html spans boilerplate-stripped ahead of the "
-                         "scorer pool); with --generate the corpus is "
-                         "written in the web shape (html spans)")
     ap.add_argument("--concurrency", type=int, default=0,
                     help="OCR scorer task cap (default: CPUs-1)")
     ap.add_argument("--batch-size", type=int, default=16)
@@ -80,8 +77,7 @@ def main() -> int:
         from tensorflow_ocr_ray.fixtures import write_documents_parquet
 
         write_documents_parquet(args.input, args.generate,
-                                num_files=args.num_files,
-                                web=args.pipeline == "extract")
+                                num_files=args.num_files, web=True)
 
     files = sorted(glob.glob(os.path.join(args.input, "*.parquet")))
     if not files:
@@ -94,6 +90,8 @@ def main() -> int:
             import pyarrow.compute as pc
             import pyarrow.parquet as pq
 
+            from tensorflow_ocr_ray.fixtures import materialize_media
+
             refs = set()
             for f in files:
                 flat = pc.list_flatten(
@@ -103,19 +101,7 @@ def main() -> int:
                 kinds = flat.field("kind").to_pylist()
                 rs = flat.field("media_ref").to_pylist()
                 refs.update(r for k, r in zip(kinds, rs) if k == "media")
-
-            @ray.remote
-            def _write(chunk):
-                from tensorflow_ocr_ray.fixtures import payload_for_ref
-                from tensorflow_ocr_ray.state.media import DirMediaStore
-
-                for ref in chunk:
-                    DirMediaStore.put(args.media_dir, ref,
-                                      payload_for_ref(ref))
-                return len(chunk)
-
-            chunks = [sorted(refs)[i::64] for i in range(64)]
-            ray.get([_write.remote(c) for c in chunks if c])
+            materialize_media(args.media_dir, refs)
         media_spec = {"kind": "dir", "path": args.media_dir}
 
     cpus = int(ray.cluster_resources().get("CPU", 2))
@@ -144,17 +130,11 @@ def main() -> int:
         media_spec=media_spec,
         on_media_error=args.on_media_error,
     )
-    pipeline_fn = None
-    if args.pipeline == "extract":
-        from tensorflow_ocr_ray.pipelines.extract import extract_documents
-
-        pipeline_fn = extract_documents
 
     def _run(fs):
         return run_checkpointed(
             fs, args.output, pipeline_kwargs=pipeline_kwargs,
             verify_against_truth=args.verify_truth,
-            pipeline_fn=pipeline_fn,
         )
 
     reports = _run(files)
