@@ -20,6 +20,7 @@ Reproduces (``main/gtkDisplay.c:202-365``):
 from __future__ import annotations
 
 import unicodedata
+from itertools import groupby
 
 _MIRROR = {"(": ")", ")": "(", "[": "]", "]": "[", "{": "}", "}": "{",
            "<": ">", ">": "<"}
@@ -125,7 +126,7 @@ def _resolve_weak_neutral(cl: list[str], sos: str, sot: str,
 
 
 def _uba_explicit(line: str, base_level: int) -> str:
-    """UBA with the explicit X rules, for lines carrying bidi controls.
+    """UBA with the explicit X rules; every line that needs reordering.
 
     X1-X8: a directional-status stack assigns each character an explicit
     embedding level and override class; overflowed pushes are counted and
@@ -151,7 +152,20 @@ def _uba_explicit(line: str, base_level: int) -> str:
     n_chars = len(line)
     while i < n_chars:
         ch = line[i]
-        if ch in (_LRE, _RLE, _LRO, _RLO):
+        if ch not in _BIDI_CONTROLS:
+            cls = _char_class(ch)
+            if cls == "NSM":
+                if clusters and not clusters[-1][3] \
+                        and clusters[-1][2] == cur_level:
+                    clusters[-1][0] += ch
+                else:
+                    clusters.append([ch, cur_override or "N",
+                                     cur_level, False])
+            else:
+                clusters.append(
+                    [ch, cur_override or cls, cur_level, False]
+                )
+        elif ch in (_LRE, _RLE, _LRO, _RLO):
             if ch in (_LRE, _LRO):
                 new_level = (cur_level + 2) & ~1  # next even
             else:
@@ -192,21 +206,7 @@ def _uba_explicit(line: str, base_level: int) -> str:
                 clusters.append([sub, "N", cur_level, True])
             i = j
             continue
-        elif ch == _PDI:
-            pass  # unmatched PDI: removed (matched ones are consumed above)
-        else:
-            cls = _char_class(ch)
-            if cls == "NSM":
-                if clusters and not clusters[-1][3] \
-                        and clusters[-1][2] == cur_level:
-                    clusters[-1][0] += ch
-                else:
-                    clusters.append([ch, cur_override or "N",
-                                     cur_level, False])
-            else:
-                clusters.append(
-                    [ch, cur_override or cls, cur_level, False]
-                )
+        # else an unmatched PDI: removed (matched ones are consumed above)
         i += 1
     n = len(clusters)
     if n == 0:
@@ -216,18 +216,17 @@ def _uba_explicit(line: str, base_level: int) -> str:
 
     # ---- X10 + W/N per level run
     run_start = 0
-    for k in range(1, n + 1):
-        if k == n or levels[k] != levels[run_start]:
-            lev = levels[run_start]
-            prev_lev = levels[run_start - 1] if run_start else base_level
-            next_lev = levels[k] if k < n else base_level
-            sos = "R" if max(lev, prev_lev) % 2 else "L"
-            sot = "R" if max(lev, next_lev) % 2 else "L"
-            edir = "R" if lev % 2 else "L"
-            seg = cl[run_start:k]
-            _resolve_weak_neutral(seg, sos, sot, edir)
-            cl[run_start:k] = seg
-            run_start = k
+    for lev, run in groupby(levels):
+        k = run_start + len(list(run))
+        prev_lev = levels[run_start - 1] if run_start else base_level
+        next_lev = levels[k] if k < n else base_level
+        sos = "R" if max(lev, prev_lev) % 2 else "L"
+        sot = "R" if max(lev, next_lev) % 2 else "L"
+        edir = "R" if lev % 2 else "L"
+        seg = cl[run_start:k]
+        _resolve_weak_neutral(seg, sos, sot, edir)
+        cl[run_start:k] = seg
+        run_start = k
 
     # ---- I1/I2 with per-cluster embedding levels
     for idx in range(n):
@@ -264,16 +263,11 @@ def _uba_explicit(line: str, base_level: int) -> str:
 
 
 def log2vis(line: str, rtl_base: bool) -> str:
-    """Logical→visual reorder of one line: an implementation of the
-    Unicode BiDi algorithm's implicit part — weak rules W2/W4/W5/W7,
-    neutral rules N1/N2 (EN/AN count as R context), implicit levels
-    I1/I2 and the L2 level-run reversal.  Explicit
-    embedding/override/isolate controls (LRE/RLE/LRO/RLO/PDF,
-    LRI/RLI/FSI/PDI — the UBA X rules) are handled by
-    :func:`_uba_explicit`, entered only when a control character is
-    present, so corpora without controls (the reference never feeds
-    fribidi any; gtkDisplay.c:311-332) take the parity-tested implicit
-    path unchanged."""
+    """Logical→visual reorder of one line with the paragraph direction
+    forced to ``rtl_base`` (fribidi_log2vis, gtkDisplay.c:311-332), by
+    :func:`_uba_explicit`.  A line without bidi controls (the reference
+    never feeds fribidi any) has one level run, so only the implicit
+    rules act on it: W2/W4-W7, N1/N2, I1/I2, mirroring and L2."""
     if not line:
         return line
     # fast path: an LTR paragraph whose characters are all below U+0590
@@ -282,112 +276,7 @@ def log2vis(line: str, rtl_base: bool) -> str:
     # per-line UBA machinery skipped (measured in the flagship profile)
     if not rtl_base and max(line) < "֐":
         return line
-    if any(ch in _BIDI_CONTROLS for ch in line):
-        return _uba_explicit(line, 1 if rtl_base else 0)
-    # cluster combining marks with their base character (they travel
-    # with it through reordering)
-    clusters: list[list] = []  # [text, class]
-    for ch in line:
-        cls = _char_class(ch)
-        if cls == "NSM" and clusters:
-            clusters[-1][0] += ch
-        else:
-            clusters.append([ch, cls if cls != "NSM" else "N"])
-    n = len(clusters)
-    cl = [c[1] for c in clusters]
-
-    # W2: EN -> AN when the last strong type is AL
-    strong = "L" if not rtl_base else "R"  # sos
-    for i in range(n):
-        if cl[i] in ("R", "AL", "L"):
-            strong = cl[i]
-        elif cl[i] == "EN" and strong == "AL":
-            cl[i] = "AN"
-    # W4: ES between two ENs -> EN; CS between two same-type numbers
-    for i in range(1, n - 1):
-        if cl[i] == "ES" and cl[i - 1] == "EN" and cl[i + 1] == "EN":
-            cl[i] = "EN"
-        elif cl[i] == "CS" and cl[i - 1] == cl[i + 1] and cl[i - 1] in ("EN", "AN"):
-            cl[i] = cl[i - 1]
-    # W5: ET sequences adjacent to EN -> EN
-    for i in range(n):
-        if cl[i] == "ET":
-            j = i
-            while j < n and cl[j] == "ET":
-                j += 1
-            prev_en = i > 0 and cl[i - 1] == "EN"
-            next_en = j < n and cl[j] == "EN"
-            if prev_en or next_en:
-                for k in range(i, j):
-                    cl[k] = "EN"
-    # W6: remaining separators/terminators become neutral
-    for i in range(n):
-        if cl[i] in ("ES", "CS", "ET"):
-            cl[i] = "N"
-    # W7: EN -> L when the last strong type is L
-    strong = "L" if not rtl_base else "R"
-    for i in range(n):
-        if cl[i] in ("R", "AL", "L"):
-            strong = cl[i]
-        elif cl[i] == "EN" and strong == "L":
-            cl[i] = "L"
-
-    # N1/N2: neutral runs take the surrounding direction when both sides
-    # agree (EN/AN count as R), else the base direction
-    def _dir(c: str) -> str:
-        return "R" if c in ("R", "AL", "EN", "AN") else "L"
-
-    base_dir = "R" if rtl_base else "L"
-    i = 0
-    while i < n:
-        if cl[i] != "N":
-            i += 1
-            continue
-        j = i
-        while j < n and cl[j] == "N":
-            j += 1
-        before = _dir(cl[i - 1]) if i > 0 else base_dir
-        after = _dir(cl[j]) if j < n else base_dir
-        resolved = before if before == after else base_dir
-        for k in range(i, j):
-            cl[k] = resolved
-        i = j
-
-    # I1/I2: implicit levels
-    levels = []
-    for c in cl:
-        if c in ("R", "AL"):
-            levels.append(1)
-        elif c in ("EN", "AN"):
-            levels.append(2)
-        elif c == "L":
-            levels.append(2 if rtl_base else 0)
-        else:  # resolved neutral carrying a direction
-            levels.append(1 if c == "R" else (2 if rtl_base else 0))
-
-    # mirroring happens on characters laid out RTL (odd level)
-    texts = [c[0] for c in clusters]
-    for i in range(n):
-        if levels[i] % 2 == 1:
-            texts[i] = "".join(_MIRROR.get(ch, ch) for ch in texts[i])
-
-    # L2: from the highest level down to the lowest odd level (always 1
-    # with implicit-only levels 0..2), reverse every maximal run at that
-    # level or higher
-    order = list(range(n))
-    max_level = max(levels) if levels else 0
-    for lev in range(max_level, 0, -1):
-        i = 0
-        while i < n:
-            if levels[order[i]] >= lev:
-                j = i
-                while j < n and levels[order[j]] >= lev:
-                    j += 1
-                order[i:j] = order[i:j][::-1]
-                i = j
-            else:
-                i += 1
-    return "".join(texts[k] for k in order)
+    return _uba_explicit(line, 1 if rtl_base else 0)
 
 
 def collect_line_text(

@@ -3,14 +3,17 @@
 The reference decodes TIFF → RGBA raster → bitonal char image
 (``main/readPicture.c:36-117``) and deskews with an integer shear search
 (``main/readPicture.c:119-221``).  Media payloads in this engine are
-opaque ``binary`` columns; ``decode_payload`` sniffs the format:
+opaque ``binary`` columns; ``decode_payload_pages`` sniffs the format
+(``decode_payload`` is its first page):
 
 - real **TIFF** (II/MM): bilevel (1-bit) and 8-bit grayscale; compressions
   none, PackBits, CCITT Group 4 (``core/ccitt.py``) and LZW with the
   horizontal-differencing predictor (``core/tiff_lzw.py``) — all decoded
   by the pure-numpy/pure-Python readers below, no external image libs.
   FillOrder=2 (LSB-first fax) strips are bit-reversed before decode.
-- baseline **JPEG** (``core/jpeg.py``) and **PNG** (``core/png.py``).
+- baseline **JPEG** (``core/jpeg.py``), **PNG** (``core/png.py``),
+  **GIF** (``core/gif.py``, one page per frame) and **BMP**
+  (``core/video_codecs.py``).
 - scanned **PDF** (``core/pdfimage.py``): per-page image XObjects
   (CCITT G4 / DCT / Flate) decoded in-process — one page per image.
 - ``OCR1``/``OCR8``: the repo's compact bitonal/gray test codec.
@@ -19,6 +22,7 @@ opaque ``binary`` columns; ``decode_payload`` sniffs the format:
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -66,38 +70,72 @@ def _packbits_decode(data: bytes, expected: int) -> bytes:
     return bytes(out)
 
 
-def _parse_ifds(payload: bytes) -> list[dict[int, list[int]]]:
-    """All IFDs of a (possibly multi-page) TIFF, in page order."""
+# TIFF field type -> (bytes per value, struct code of its ints); ASCII (2)
+# keeps its raw bytes, RATIONAL (5) gives numerator, denominator pairs
+_TIFF_TYPES = {1: (1, "B"), 2: (1, "s"), 3: (2, "H"), 4: (4, "I"), 5: (8, "I")}
+_Ifd = dict[int, tuple[int, "list[int] | bytes"]]  # tag -> (type, values)
+
+
+def _parse_ifds(payload: bytes) -> list[_Ifd]:
+    """All IFDs of a (possibly multi-page) TIFF, in page order, as
+    tag -> (field type, values).  This is the one TIFF directory walk:
+    the pixel decoder, ``probe_media_header`` and ``read_tiff_tags`` all
+    read through it.  BYTE, SHORT and LONG give their ints, RATIONAL its
+    flat numerator/denominator ints, ASCII its raw bytes; other types
+    are skipped.  Each directory and each value area is checked against
+    the payload before it is read, so a cyclic chain, a truncated
+    directory or a count that points past the end raise ``ValueError``
+    without allocating anything sized by the count."""
+    n = len(payload)
+    if n < 8:
+        raise ValueError("TIFF truncated in header")
     bo = "<" if payload[:4] == TIFF_LE else ">"
-    (ifd_off,) = struct.unpack(bo + "I", payload[4:8])
-    TYPE_SIZE = {1: 1, 3: 2, 4: 4}
-    ifds: list[dict[int, list[int]]] = []
+    (ifd_off,) = struct.unpack_from(bo + "I", payload, 4)
+    if not ifd_off:
+        raise ValueError("TIFF without an image directory")
+    ifds: list[_Ifd] = []
     seen_offsets: set[int] = set()
     while ifd_off:
-        if ifd_off in seen_offsets or ifd_off >= len(payload):
+        if ifd_off in seen_offsets or ifd_off + 2 > n:
             raise ValueError(
                 f"malformed TIFF: cyclic or out-of-range IFD offset {ifd_off}"
             )
         seen_offsets.add(ifd_off)
-        (n_tags,) = struct.unpack(bo + "H", payload[ifd_off : ifd_off + 2])
-        tags: dict[int, list[int]] = {}
-        for t in range(n_tags):
-            off = ifd_off + 2 + t * 12
-            tag, typ, count = struct.unpack(bo + "HHI", payload[off : off + 8])
-            if typ not in TYPE_SIZE:
-                continue
-            size = TYPE_SIZE[typ] * count
-            if size <= 4:
-                raw = payload[off + 8 : off + 8 + size]
-            else:
-                (voff,) = struct.unpack(bo + "I", payload[off + 8 : off + 12])
-                raw = payload[voff : voff + size]
-            fmt = {1: "B", 3: "H", 4: "I"}[typ]
-            tags[tag] = list(struct.unpack(bo + fmt * count, raw))
-        ifds.append(tags)
+        (n_tags,) = struct.unpack_from(bo + "H", payload, ifd_off)
         next_off = ifd_off + 2 + n_tags * 12
-        (ifd_off,) = struct.unpack(bo + "I", payload[next_off : next_off + 4])
+        if next_off + 4 > n:
+            raise ValueError(f"TIFF directory at {ifd_off} runs past the payload")
+        tags: _Ifd = {}
+        for off in range(ifd_off + 2, next_off, 12):
+            tag, typ, count = struct.unpack_from(bo + "HHI", payload, off)
+            if typ not in _TIFF_TYPES:
+                continue
+            width, code = _TIFF_TYPES[typ]
+            size = width * count
+            voff = off + 8  # values of at most 4 bytes sit in the entry
+            if size > 4:
+                (voff,) = struct.unpack_from(bo + "I", payload, voff)
+                if voff + size > n:
+                    raise ValueError(
+                        f"TIFF tag {tag} value area [{voff}, {voff + size}) "
+                        f"outside the {n}-byte payload"
+                    )
+            raw = payload[voff : voff + size]
+            tags[tag] = (typ, raw if typ == 2 else list(
+                struct.unpack(f"{bo}{size // struct.calcsize(code)}{code}", raw)
+            ))
+        ifds.append(tags)
+        (ifd_off,) = struct.unpack_from(bo + "I", payload, next_off)
     return ifds
+
+
+def _ifd_values(ifd: _Ifd) -> dict:
+    """tag -> values of one parsed IFD, as the pixel decoder reads them."""
+    values = {tag: v for tag, (_typ, v) in ifd.items() if len(v)}
+    if not all(tag in values for tag in (256, 257, 273)):
+        raise ValueError("TIFF directory without ImageWidth, ImageLength "
+                         "or StripOffsets")
+    return values
 
 
 def _decode_ifd(payload: bytes, tags: dict[int, list[int]]) -> tuple[np.ndarray, int]:
@@ -204,15 +242,22 @@ def _decode_ifd(payload: bytes, tags: dict[int, list[int]]) -> tuple[np.ndarray,
     return img, 8
 
 
+def _tiff_pages(payload: bytes) -> Iterator[tuple[np.ndarray, int]]:
+    """(image, bits) per directory, each decoded only when asked for."""
+    for ifd in _parse_ifds(payload):
+        yield _decode_ifd(payload, _ifd_values(ifd))
+
+
 def decode_tiff_pages(payload: bytes) -> list[tuple[np.ndarray, int]]:
     """Every page of a multi-page TIFF, in directory order (the reference
     iterates page directories, ``main/readPicture.c:223-233``)."""
-    return [_decode_ifd(payload, tags) for tags in _parse_ifds(payload)]
+    return list(_tiff_pages(payload))
 
 
 def decode_tiff(payload: bytes) -> tuple[np.ndarray, int]:
-    """First page only (back-compat single-page reader)."""
-    return _decode_ifd(payload, _parse_ifds(payload)[0])
+    """(image, bits) of the first directory, before binarization: 8-bit
+    pages keep their gray values (the perceptual hash reads them)."""
+    return next(_tiff_pages(payload))
 
 
 _COMPRESSION_IDS = {None: 1, "none": 1, "packbits": 32773, "g4": 4, "lzw": 5}
@@ -307,76 +352,74 @@ def _binarize_page(img: np.ndarray, bits: int, cutoff: float) -> np.ndarray:
     return (3 * img.astype(np.int32) <= cutoff_total).astype(np.uint8)
 
 
-def decode_payload_pages(payload: bytes, cutoff: float = 0.50) -> list[np.ndarray]:
-    """All pages of a media payload as bitonal char images (uint8 0/1).
-    Single-page formats (OCR1/OCR8) yield one page; multi-page TIFFs one
-    per directory, in order."""
+def _payload_pages(payload: bytes, cutoff: float) -> Iterator[np.ndarray]:
+    """The one magic dispatch over media payloads: yields each page as a
+    bitonal char image (uint8 0/1), decoding a TIFF directory only when
+    its page is asked for."""
     if payload[:4] in (TIFF_LE, TIFF_BE):
-        return [
-            _binarize_page(img, bits, cutoff)
-            for img, bits in decode_tiff_pages(payload)
-        ]
-    if payload[:4] == b"%PDF":  # scanned PDF (core/pdfimage.py)
+        for img, bits in _tiff_pages(payload):
+            yield _binarize_page(img, bits, cutoff)
+    elif payload[:2] == b"\xff\xd8":  # baseline JPEG (core/jpeg.py)
+        from tensorflow_ocr_ray.core.jpeg import decode_jpeg_gray
+
+        yield _binarize_page(decode_jpeg_gray(payload), 8, cutoff)
+    elif payload[:8] == b"\x89PNG\r\n\x1a\n":  # PNG (core/png.py)
+        from tensorflow_ocr_ray.core.png import decode_png_gray
+
+        yield _binarize_page(decode_png_gray(payload), 8, cutoff)
+    elif payload[:4] == b"%PDF":  # scanned PDF (core/pdfimage.py)
         from tensorflow_ocr_ray.core.pdfimage import pdf_page_images
 
-        return [
-            _binarize_page(img, 8, cutoff) for img in pdf_page_images(payload)
-        ]
-    if payload[:6] in (b"GIF87a", b"GIF89a"):  # GIF (core/gif.py)
+        for img in pdf_page_images(payload):
+            yield _binarize_page(img, 8, cutoff)
+    elif payload[:6] in (b"GIF87a", b"GIF89a"):  # GIF (core/gif.py)
         from tensorflow_ocr_ray.core.gif import decode_gif_frames
 
-        return [
-            _binarize_page(img, 8, cutoff)
-            for img in decode_gif_frames(payload)
-        ]
-    return [decode_payload(payload, cutoff)]
+        for img in decode_gif_frames(payload):
+            yield _binarize_page(img, 8, cutoff)
+    elif payload[:2] == b"BM":  # BMP (video_codecs)
+        from tensorflow_ocr_ray.core.video_codecs import decode_bmp
+
+        yield _binarize_page(decode_bmp(payload), 8, cutoff)
+    elif payload[:4] in (MAGIC, MAGIC_GRAY):
+        if len(payload) < 12:
+            raise ValueError("OCR payload truncated in header")
+        h, w = struct.unpack_from("<II", payload, 4)
+        if h * w > MAX_PIXELS:
+            raise ValueError(f"OCR payload {w}x{h} exceeds pixel cap")
+        body = np.frombuffer(payload, dtype=np.uint8, offset=12)
+        if payload[:4] == MAGIC_GRAY:
+            yield _binarize_page(body.reshape(h, w), 8, cutoff)
+        elif len(body) < (h * w + 7) // 8:
+            raise ValueError(f"OCR1 body of {len(body)} bytes is short of "
+                             f"{h}x{w} pixels")
+        else:
+            yield np.unpackbits(body, count=h * w).reshape(h, w)
+    else:
+        raise ValueError(f"unknown media payload magic {payload[:4]!r}")
+
+
+def decode_payload_pages(payload: bytes, cutoff: float = 0.50) -> list[np.ndarray]:
+    """All pages of a media payload as bitonal char images (uint8 0/1).
+    Single-page formats yield one page; multi-page TIFFs one per
+    directory, GIFs one per frame and scanned PDFs one per page image,
+    in order (a PDF without raster page images yields none)."""
+    return list(_payload_pages(payload, cutoff))
 
 
 def decode_payload(payload: bytes, cutoff: float = 0.50) -> np.ndarray:
     """Decode a media payload to the bitonal char image (uint8 0/1) —
-    first page for multi-page payloads.
+    the first page of ``decode_payload_pages``, decoding no later TIFF
+    directory.
 
     Grayscale payloads are binarized with the reference's threshold rule
     (``main/readPicture.c:100-107``): a pixel is ink (1) iff the summed RGB
     value is <= lround(3*256*cutoff); for grayscale we use 3*gray.
     """
-    if payload[:4] in (TIFF_LE, TIFF_BE):
-        img, bits = decode_tiff(payload)
-        return _binarize_page(img, bits, cutoff)
-    if payload[:2] == b"\xff\xd8":  # baseline JPEG (core/jpeg.py)
-        from tensorflow_ocr_ray.core.jpeg import decode_jpeg_gray
-
-        return _binarize_page(decode_jpeg_gray(payload), 8, cutoff)
-    if payload[:8] == b"\x89PNG\r\n\x1a\n":  # PNG (core/png.py)
-        from tensorflow_ocr_ray.core.png import decode_png_gray
-
-        return _binarize_page(decode_png_gray(payload), 8, cutoff)
-    if payload[:4] == b"%PDF":  # scanned PDF (core/pdfimage.py)
-        from tensorflow_ocr_ray.core.pdfimage import pdf_page_images
-
-        pages = pdf_page_images(payload)
-        if not pages:
-            raise ValueError("PDF payload has no raster page images")
-        return _binarize_page(pages[0], 8, cutoff)
-    if payload[:6] in (b"GIF87a", b"GIF89a"):  # GIF (core/gif.py)
-        from tensorflow_ocr_ray.core.gif import decode_gif_gray
-
-        return _binarize_page(decode_gif_gray(payload), 8, cutoff)
-    if payload[:2] == b"BM" and len(payload) >= 54:  # BMP (video_codecs)
-        from tensorflow_ocr_ray.core.video_codecs import decode_bmp
-
-        return _binarize_page(decode_bmp(payload), 8, cutoff)
-    magic, rest = payload[:4], payload[4:]
-    h, w = struct.unpack("<II", rest[:8])
-    body = rest[8:]
-    if magic == MAGIC:
-        bits = np.unpackbits(np.frombuffer(body, dtype=np.uint8), count=h * w)
-        return bits.reshape(h, w).astype(np.uint8)
-    if magic == MAGIC_GRAY:
-        gray = np.frombuffer(body, dtype=np.uint8).reshape(h, w)
-        cutoff_total = int(np.floor(3 * 256 * cutoff + 0.5))  # lroundf
-        return (3 * gray.astype(np.int32) <= cutoff_total).astype(np.uint8)
-    raise ValueError(f"unknown media payload magic {magic!r}")
+    for page in _payload_pages(payload, cutoff):
+        return page
+    # every other container yields a page or raises
+    raise ValueError("PDF payload has no raster page images")
 
 
 def binarize_rgb(rgb: np.ndarray, cutoff: float = 0.50) -> np.ndarray:

@@ -30,11 +30,29 @@ FOURCC_MJPG = 0x47504A4D  # struct.unpack("<I", b"MJPG")
 
 
 def _riff_chunks(buf: bytes, pos: int, end: int):
-    while pos + 8 <= end:
+    """(fourcc, body offset, size) of every chunk in ``buf[pos:end]``,
+    descending into each ``LIST`` in file order (the list itself is not
+    yielded).  A chunk whose body runs past its list raises
+    ``ValueError``.  The one RIFF walk, shared by ``decode_avi`` and the
+    header probe."""
+    outer: list[tuple[int, int]] = []  # (resume pos, end) of open lists
+    while True:
+        if pos + 8 > end:
+            if not outer:
+                return
+            pos, end = outer.pop()
+            continue
         cid = buf[pos:pos + 4]
-        (size,) = struct.unpack("<I", buf[pos + 4:pos + 8])
-        yield cid, pos + 8, size
-        pos += 8 + size + (size & 1)
+        (size,) = struct.unpack_from("<I", buf, pos + 4)
+        body = pos + 8
+        if body + size > end:
+            raise ValueError(f"RIFF chunk {cid!r} runs past its list")
+        pos = body + size + (size & 1)
+        if cid == b"LIST":
+            outer.append((pos, end))
+            pos, end = body + 4, body + size
+        else:
+            yield cid, body, size
 
 
 def _gray_from_bgr(b, g, r):
@@ -118,63 +136,58 @@ def decode_avi(payload: bytes) -> list[np.ndarray]:
     palette_gray = None
     frames: list[np.ndarray] = []
 
-    def walk(pos: int, end: int):
-        nonlocal w, h, bpp, compression, palette_gray
-        for cid, body_pos, size in _riff_chunks(payload, pos, end):
-            if cid == b"LIST":
-                walk(body_pos + 4, body_pos + size)
-            elif cid == b"strf" and compression is None:
-                # BITMAPINFOHEADER: biSize, biWidth, biHeight, planes,
-                # bitcount, biCompression, ... palette follows biSize
-                (bi_size, bw, bh, _pl, bc, comp) = struct.unpack(
-                    "<IiiHHI", payload[body_pos:body_pos + 20]
+    for cid, body_pos, size in _riff_chunks(payload, 12, len(payload)):
+        if cid == b"strf" and compression is None:
+            # BITMAPINFOHEADER: biSize, biWidth, biHeight, planes,
+            # bitcount, biCompression, ... palette follows biSize
+            (bi_size, bw, bh, _pl, bc, comp) = struct.unpack(
+                "<IiiHHI", payload[body_pos:body_pos + 20]
+            )
+            w, h, bpp, compression = bw, abs(bh), bc, comp
+            if bc == 8:
+                pal = np.frombuffer(
+                    payload[body_pos + bi_size:body_pos + size],
+                    dtype=np.uint8,
                 )
-                w, h, bpp, compression = bw, abs(bh), bc, comp
-                if bc == 8:
-                    pal = np.frombuffer(
-                        payload[body_pos + bi_size:body_pos + size],
-                        dtype=np.uint8,
+                pal = pal[: (len(pal) // 4) * 4].reshape(-1, 4)
+                if len(pal):
+                    palette_gray = _gray_from_bgr(
+                        pal[:, 0], pal[:, 1], pal[:, 2]
                     )
-                    pal = pal[: (len(pal) // 4) * 4].reshape(-1, 4)
-                    if len(pal):
-                        palette_gray = _gray_from_bgr(
-                            pal[:, 0], pal[:, 1], pal[:, 2]
+                    if len(palette_gray) < 256:
+                        palette_gray = np.concatenate(
+                            [palette_gray,
+                             np.zeros(256 - len(palette_gray),
+                                      dtype=np.uint8)]
                         )
-                        if len(palette_gray) < 256:
-                            palette_gray = np.concatenate(
-                                [palette_gray,
-                                 np.zeros(256 - len(palette_gray),
-                                          dtype=np.uint8)]
-                            )
-            elif cid[2:4] in (b"db", b"dc"):
-                if compression is None:
-                    raise ValueError("frame chunk before strf header")
-                body = payload[body_pos:body_pos + size]
-                if compression == BI_RGB:
-                    frames.append(
-                        _decode_dib_frame(body, w, h, bpp, palette_gray)
-                    )
-                elif compression == BI_RLE8:
-                    idx = decode_rle8(body, w, h)
-                    frames.append(
-                        palette_gray[idx]
-                        if palette_gray is not None else idx
-                    )
-                elif compression == FOURCC_MJPG:
-                    # Motion-JPEG: each frame chunk is a standalone
-                    # baseline JPEG (core/jpeg.py, spec-implemented);
-                    # frames are top-down already — no DIB flip
-                    from tensorflow_ocr_ray.core.jpeg import (
-                        decode_jpeg_gray,
-                    )
+        elif cid[2:4] in (b"db", b"dc"):
+            if compression is None:
+                raise ValueError("frame chunk before strf header")
+            body = payload[body_pos:body_pos + size]
+            if compression == BI_RGB:
+                frames.append(
+                    _decode_dib_frame(body, w, h, bpp, palette_gray)
+                )
+            elif compression == BI_RLE8:
+                idx = decode_rle8(body, w, h)
+                frames.append(
+                    palette_gray[idx]
+                    if palette_gray is not None else idx
+                )
+            elif compression == FOURCC_MJPG:
+                # Motion-JPEG: each frame chunk is a standalone
+                # baseline JPEG (core/jpeg.py, spec-implemented);
+                # frames are top-down already — no DIB flip
+                from tensorflow_ocr_ray.core.jpeg import (
+                    decode_jpeg_gray,
+                )
 
-                    frames.append(decode_jpeg_gray(body))
-                else:
-                    raise NotImplementedError(
-                        f"AVI compression {compression:#x} needs `av`"
-                    )
+                frames.append(decode_jpeg_gray(body))
+            else:
+                raise NotImplementedError(
+                    f"AVI compression {compression:#x} needs `av`"
+                )
 
-    walk(12, len(payload))
     if w is None:
         raise ValueError("AVI missing strf stream format")
     return frames

@@ -38,11 +38,17 @@ import struct
 import numpy as np
 import pyarrow as pa
 
+from tensorflow_ocr_ray.core.gif import _read_subblocks
 from tensorflow_ocr_ray.core.raster import (
+    TIFF_BE,
+    TIFF_LE,
+    _ifd_values,
+    _parse_ifds,
     decode_payload,
     encode_bitonal,
     glyph_windows,
 )
+from tensorflow_ocr_ray.core.video_codecs import _riff_chunks
 
 FAKE_AUDIO_MAGIC = b"FAKEAUD"
 FAKE_VIDEO_MAGIC = b"FAKEVID"
@@ -272,14 +278,16 @@ def probe_media_header(payload: bytes) -> tuple[str, int, int, int]:
     no pixel/sample decode, no decompression.  The cheap metadata pass
     a 100-TB pipeline runs first: route/batch/skip decisions (small vs
     large frames, stills vs animations) cost header bytes, not decode
-    CPU.  Walks: PNG IHDR; JPEG markers to SOF0/SOF2; GIF logical
-    screen + block-skip frame count (sub-block lengths, LZW untouched);
-    RIFF/AVI strf BITMAPINFOHEADER + 00db/00dc chunk count; TIFF
-    chained-IFD walk reading only the size tags."""
-    import struct as _struct
-
+    CPU.  Reads: PNG IHDR; JPEG markers to SOF0/SOF2; GIF logical
+    screen + a count of image descriptors, skipping sub-blocks with the
+    GIF decoder's reader (LZW untouched); AVI through the decoder's RIFF
+    walk (``video_codecs._riff_chunks``): the first strf
+    BITMAPINFOHEADER + ##db/##dc chunk count; TIFF through the
+    decoder's IFD walk (``raster._parse_ifds``): the first directory's
+    size tags + directory count.  The walks are shared, so a truncated
+    or cyclic container raises the decoder's ``ValueError``."""
     if payload[:8] == b"\x89PNG\r\n\x1a\n":
-        w, h = _struct.unpack(">II", payload[16:24])
+        w, h = struct.unpack(">II", payload[16:24])
         return "png", int(w), int(h), 1
     if payload[:2] == b"\xff\xd8":
         i = 2
@@ -288,76 +296,47 @@ def probe_media_header(payload: bytes) -> tuple[str, int, int, int]:
                 raise ValueError("JPEG marker desync")
             marker = payload[i + 1]
             if marker in (0xC0, 0xC1, 0xC2):
-                h, w = _struct.unpack(">HH", payload[i + 5:i + 9])
+                h, w = struct.unpack(">HH", payload[i + 5:i + 9])
                 return "jpeg", int(w), int(h), 1
-            (seglen,) = _struct.unpack(">H", payload[i + 2:i + 4])
+            (seglen,) = struct.unpack(">H", payload[i + 2:i + 4])
             i += 2 + seglen
         raise ValueError("JPEG without SOF")
     if payload[:6] in (b"GIF87a", b"GIF89a"):
-        w, h, flags = _struct.unpack("<HHB", payload[6:11])
+        if len(payload) < 13:
+            raise ValueError("GIF truncated in header")
+        w, h, flags = struct.unpack_from("<HHB", payload, 6)
         i = 13 + (3 * (2 << (flags & 7)) if flags & 0x80 else 0)
+        if i > len(payload):
+            raise ValueError("GIF truncated in global color table")
         frames = 0
-        while i < len(payload):
-            b = payload[i]
-            if b == 0x3B:  # trailer
-                break
-            if b == 0x21:  # extension: label + sub-blocks
-                i += 2
-                while payload[i]:
-                    i += 1 + payload[i]
-                i += 1
-            elif b == 0x2C:  # image descriptor
-                frames += 1
+        while i < len(payload) and payload[i] != 0x3B:  # to the trailer
+            if payload[i] == 0x21:  # extension: label + sub-blocks
+                _, i = _read_subblocks(payload, i + 2)
+            elif payload[i] == 0x2C:  # descriptor, color table, LZW data
+                if i + 10 > len(payload):
+                    raise ValueError("GIF truncated in image descriptor")
                 lflags = payload[i + 9]
-                i += 10 + (3 * (2 << (lflags & 7))
-                           if lflags & 0x80 else 0)
-                i += 1  # LZW min code size
-                while payload[i]:
-                    i += 1 + payload[i]
-                i += 1
+                frames += 1
+                _, i = _read_subblocks(payload, i + 11 + (
+                    3 * (2 << (lflags & 7)) if lflags & 0x80 else 0))
             else:
-                raise ValueError(f"GIF block {b:#x}")
+                raise ValueError(f"unknown GIF block 0x{payload[i]:02x}")
         return "gif", int(w), int(h), frames
     if payload[:4] == b"RIFF" and payload[8:12] == b"AVI ":
-        w = h = 0
+        size = None
         frames = 0
-        i = 12
-        while i + 8 <= len(payload):
-            cid = payload[i:i + 4]
-            (size,) = _struct.unpack("<I", payload[i + 4:i + 8])
-            if cid == b"LIST":
-                i += 12  # descend
-                continue
-            if cid == b"strf":
-                w, h = _struct.unpack(
-                    "<ii", payload[i + 12:i + 20])
-                h = abs(h)
-            if cid in (b"00db", b"00dc"):
+        for cid, body, _ in _riff_chunks(payload, 12, len(payload)):
+            if cid == b"strf" and size is None:
+                size = struct.unpack_from("<ii", payload, body + 4)
+            elif cid[2:4] in (b"db", b"dc"):
                 frames += 1
-            i += 8 + size + (size & 1)
-        return "avi", int(w), int(h), frames
-    if payload[:4] in (b"II*\x00", b"MM\x00*"):
-        le = payload[:2] == b"II"
-        u16 = "<H" if le else ">H"
-        u32 = "<I" if le else ">I"
-        (off,) = _struct.unpack(u32, payload[4:8])
-        w = h = 0
-        frames = 0
-        while off:
-            frames += 1
-            (n,) = _struct.unpack(u16, payload[off:off + 2])
-            for t in range(n):
-                e = off + 2 + t * 12
-                (tag,) = _struct.unpack(u16, payload[e:e + 2])
-                if frames == 1 and tag in (256, 257):
-                    (v,) = _struct.unpack(u32, payload[e + 8:e + 12])
-                    if tag == 256:
-                        w = v
-                    else:
-                        h = v
-            (off,) = _struct.unpack(
-                u32, payload[off + 2 + n * 12:off + 6 + n * 12])
-        return "tiff", int(w), int(h), frames
+        if size is None:
+            raise ValueError("AVI missing strf stream format")
+        return "avi", int(size[0]), abs(int(size[1])), frames
+    if payload[:4] in (TIFF_LE, TIFF_BE):
+        ifds = _parse_ifds(payload)
+        first = _ifd_values(ifds[0])
+        return "tiff", int(first[256][0]), int(first[257][0]), len(ifds)
     raise ValueError(f"unknown container magic {payload[:4]!r}")
 
 
@@ -380,63 +359,29 @@ def dhash56(img: "np.ndarray") -> int:
 
 def read_tiff_tags(payload: bytes) -> dict:
     """First-IFD metadata read: tag -> decoded value for the common
-    metadata types (SHORT/LONG inline, ASCII and RATIONAL through the
-    external value area when the encoded size exceeds the 4 inline
-    bytes).  This is the metadata-extraction pass a catalog build runs
-    over 100 TB of imagery — header bytes only, no strip decode, no
-    decompression (the probe_media_header contract extended from size
-    tags to arbitrary first-IFD entries).
+    metadata types (SHORT/LONG as an int, or a list when the count is
+    not 1; ASCII as a str; RATIONAL as its first (numerator,
+    denominator) pair).  This is the metadata-extraction pass a catalog
+    build runs over 100 TB of imagery — header bytes only, no strip
+    decode, no decompression.  The walk is the decoder's own
+    (``raster._parse_ifds``), so the value areas are bounds-checked and
+    a cyclic or truncated directory chain raises ``ValueError``.
 
     Reference context: the reference reads its TIFFs through libtiff's
     TIFFGetField (main/tiff2font.c) which performs this same IFD walk
     internally; here the walk is explicit and the values land in Arrow
     columns."""
-    import struct as _struct
-
-    if payload[:4] not in (b"II*\x00", b"MM\x00*"):
+    if payload[:4] not in (TIFF_LE, TIFF_BE):
         raise ValueError(f"not a TIFF: {payload[:4]!r}")
-    le = payload[:2] == b"II"
-    u16, u32 = ("<H", "<I") if le else (">H", ">I")
-    (off,) = _struct.unpack(u32, payload[4:8])
-    (n,) = _struct.unpack(u16, payload[off:off + 2])
     out: dict = {}
-    for t in range(n):
-        e = off + 2 + t * 12
-        (tag,) = _struct.unpack(u16, payload[e:e + 2])
-        (typ,) = _struct.unpack(u16, payload[e + 2:e + 4])
-        (count,) = _struct.unpack(u32, payload[e + 4:e + 8])
-        raw = payload[e + 8:e + 12]
+    for tag, (typ, values) in _parse_ifds(payload)[0].items():
         if typ == 2:  # ASCII, count includes NUL
-            if count <= 4:
-                s = raw[:count]
-            else:
-                (voff,) = _struct.unpack(u32, raw)
-                s = payload[voff:voff + count]
-            out[tag] = s.rstrip(b"\x00").decode("ascii")
-        elif typ == 3:  # SHORT
-            if count == 1:
-                out[tag] = _struct.unpack(u16, raw[:2])[0]
-            else:
-                (voff,) = _struct.unpack(u32, raw) if count > 2 else (e + 8,)
-                out[tag] = [
-                    _struct.unpack(u16, payload[voff + 2 * i:
-                                                voff + 2 * i + 2])[0]
-                    for i in range(count)]
-        elif typ == 4:  # LONG
-            if count == 1:
-                out[tag] = _struct.unpack(u32, raw)[0]
-            else:
-                (voff,) = _struct.unpack(u32, raw)
-                out[tag] = [
-                    _struct.unpack(u32, payload[voff + 4 * i:
-                                                voff + 4 * i + 4])[0]
-                    for i in range(count)]
-        elif typ == 5:  # RATIONAL — always external (8 bytes)
-            (voff,) = _struct.unpack(u32, raw)
-            (num,) = _struct.unpack(u32, payload[voff:voff + 4])
-            (den,) = _struct.unpack(u32, payload[voff + 4:voff + 8])
-            out[tag] = (num, den)
-        # other types: skipped (metadata pass, not a full decoder)
+            out[tag] = values.rstrip(b"\x00").decode("ascii")
+        elif typ in (3, 4):  # SHORT, LONG
+            out[tag] = values[0] if len(values) == 1 else values
+        elif typ == 5:  # RATIONAL
+            out[tag] = tuple(values[:2])
+        # BYTE: skipped (metadata pass, not a full decoder)
     return out
 
 

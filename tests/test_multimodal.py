@@ -5,7 +5,11 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
-from tensorflow_ocr_ray.core.raster import decode_payload, encode_bitonal
+from tensorflow_ocr_ray.core.raster import (
+    decode_payload,
+    decode_payload_pages,
+    encode_bitonal,
+)
 from tensorflow_ocr_ray.fixtures import payload_for_ref
 from tensorflow_ocr_ray.stages.multimodal import (
     AudioFeatureStage,
@@ -14,6 +18,8 @@ from tensorflow_ocr_ray.stages.multimodal import (
     VideoFrameSampleStage,
     make_fake_audio,
     make_fake_video,
+    probe_media_header,
+    read_tiff_tags,
 )
 
 
@@ -221,3 +227,139 @@ def test_audio_energy_segments_planted_runs(ray_session):
     assert len(d13) == 1
     assert (int(d13["start_block"][0]), int(d13["end_block"][0]),
             int(d13["n_blocks"][0])) == (1, 3, 3)
+
+
+# ------------------------------------------------ hostile container headers
+
+def _doc_frame(n: int) -> "pd.DataFrame":
+    import pandas as pd
+
+    return pd.DataFrame({"doc_id": list(range(n))})
+
+
+def _tiff_gray(h: int = 3, w: int = 8) -> bytes:
+    from tensorflow_ocr_ray.core.raster import encode_tiff
+
+    return encode_tiff(np.full((h, w), 200, dtype=np.uint8), bilevel=False)
+
+
+def _cyclic_ifd_tiff() -> bytes:
+    """A one-page TIFF whose next-IFD pointer leads back to its own IFD."""
+    import struct
+
+    payload = bytearray(_tiff_gray())
+    (n_tags,) = struct.unpack_from("<H", payload, 8)
+    struct.pack_into("<I", payload, 8 + 2 + 12 * n_tags, 8)
+    return bytes(payload)
+
+
+def _huge_count_tiff() -> bytes:
+    """StripOffsets claims 1 << 24 LONGs at an offset past the payload."""
+    import struct
+
+    payload = bytearray(_tiff_gray())
+    (n_tags,) = struct.unpack_from("<H", payload, 8)
+    for e in range(10, 10 + 12 * n_tags, 12):
+        if struct.unpack_from("<H", payload, e)[0] == 273:
+            struct.pack_into("<HII", payload, e + 2, 4, 1 << 24, 1 << 30)
+    return bytes(payload)
+
+
+def _big_endian_short_tiff(h: int = 3, w: int = 8) -> bytes:
+    """An 8-bit big-endian TIFF whose sizes are SHORTs: a SHORT value
+    sits in the first two of its entry's four value bytes."""
+    import struct
+
+    pix = bytes(range(h * w))
+    tags = [(256, 3, w), (257, 3, h), (258, 3, 8), (259, 3, 1),
+            (262, 3, 1), (273, 4, 8 + 2 + 12 * 8 + 4), (278, 3, h),
+            (279, 4, len(pix))]
+    out = bytearray(b"MM\x00*" + struct.pack(">I", 8))
+    out += struct.pack(">H", len(tags))
+    for tag, typ, value in tags:
+        out += struct.pack(">HHI", tag, typ, 1)
+        out += struct.pack(">HH", value, 0) if typ == 3 \
+            else struct.pack(">I", value)
+    return bytes(out + struct.pack(">I", 0) + pix)
+
+
+def _raises_within(reader, payload: bytes, seconds: float = 2.0,
+                   peak_mib: float = 16.0) -> None:
+    """reader(payload) raises ValueError within ``seconds`` and with a
+    traced allocation peak below ``peak_mib``."""
+    import signal
+    import tracemalloc
+
+    def _timeout(signum, frame):
+        raise TimeoutError(f"{reader.__name__} ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, _timeout)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            reader(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert peak < peak_mib * 2**20, f"{reader.__name__} peaked at {peak} B"
+
+
+@pytest.mark.parametrize(
+    "reader", [probe_media_header, read_tiff_tags, decode_payload_pages])
+@pytest.mark.parametrize("build", [_cyclic_ifd_tiff, _huge_count_tiff])
+def test_tiff_readers_reject_hostile_directories(reader, build):
+    """Every TIFF reader walks the same IFD chain: a cycle is refused
+    rather than followed forever, and a tag count pointing past the
+    payload is refused before anything sized by it is allocated."""
+    _raises_within(reader, build())
+
+
+@pytest.mark.parametrize("kind,cut", [
+    ("gif", 3), ("gif", 20), ("avi", 3), ("avi", 20)],
+    ids=["gif_minus_3", "gif_cut_20", "avi_minus_3", "avi_cut_20"])
+def test_probe_rejects_truncated_gif_and_avi(kind, cut):
+    """A GIF or AVI cut short raises the codecs' ValueError from the
+    header probe (``cut`` < 10 drops that many tail bytes, else keeps
+    ``cut`` bytes) instead of an IndexError or a partial count."""
+    import __ray_entry__ as e
+
+    build = e._gif_payloads if kind == "gif" else e._avi_payloads
+    payload = build(_doc_frame(4)).column(1)[3].as_py()
+    payload = payload[:-cut] if cut < 10 else payload[:cut]
+    _raises_within(probe_media_header, payload)
+
+
+def test_probe_agrees_with_decoders():
+    """For each container the registry's payload builders make, plus a
+    big-endian TIFF with SHORT sizes, the header probe reports the
+    width, height and page/frame count the matching decoder returns."""
+    import __ray_entry__ as e
+
+    from tensorflow_ocr_ray.core.gif import decode_gif_frames
+    from tensorflow_ocr_ray.core.jpeg import decode_jpeg_gray
+    from tensorflow_ocr_ray.core.png import decode_png_gray
+    from tensorflow_ocr_ray.core.raster import decode_tiff_pages
+    from tensorflow_ocr_ray.core.video_codecs import decode_avi
+
+    cases = [
+        ("tiff", e._tiff_payloads, lambda p: [i for i, _ in decode_tiff_pages(p)]),
+        ("gif", e._gif_payloads, decode_gif_frames),
+        ("avi", e._avi_payloads, decode_avi),
+        ("png", e._png_payloads, lambda p: [decode_png_gray(p)]),
+        ("jpeg", e._jpeg_payloads, lambda p: [decode_jpeg_gray(p)]),
+    ]
+    checked = []
+    for fmt, build, decode in cases:
+        payloads = build(_doc_frame(12)).column(1).to_pylist()
+        if fmt == "tiff":
+            payloads.append(_big_endian_short_tiff())
+        for p in payloads:
+            pages = decode(p)
+            h, w = pages[0].shape
+            assert probe_media_header(p) == (fmt, w, h, len(pages))
+            checked.append(fmt)
+    assert len(checked) == 5 * 12 + 1
+    assert probe_media_header(_big_endian_short_tiff()) == ("tiff", 8, 3, 1)

@@ -1,6 +1,7 @@
 """Payload codec, binarization, deskew shear (reference: main/readPicture.c)."""
 
 import numpy as np
+import pytest
 
 from tensorflow_ocr_ray.core.raster import (
     apply_shear,
@@ -241,3 +242,44 @@ def test_tiff_jpeg_in_tiff():
     assert bits == 8
     assert got.shape == img.shape
     assert np.abs(got.astype(int) - img.astype(int)).mean() < 12
+
+
+@pytest.mark.parametrize("h,w,body,match", [
+    (3000, 3000, b"\xff" * 8, "short"),         # body of 8 of 1,125,000 bytes
+    (1 << 20, 1 << 20, b"\xff" * 8, "pixel cap"),
+], ids=["truncated_body", "oversized"])
+def test_ocr1_header_checked_before_allocation(h, w, body, match):
+    """An OCR1 header whose h*w the body cannot fill, or that exceeds the
+    pixel cap, is refused before the page is allocated (no blank page
+    zero-padded from 8 bytes)."""
+    import struct
+    import tracemalloc
+
+    from tensorflow_ocr_ray.core.raster import MAGIC, decode_payload_pages
+
+    payload = MAGIC + struct.pack("<II", h, w) + body
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            decode_payload_pages(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("missing", [256, 257, 273])
+def test_tiff_directory_missing_required_tag_raises(missing):
+    """A directory without ImageWidth, ImageLength or StripOffsets is a
+    ValueError from the decoder, not a KeyError."""
+    import struct
+
+    from tensorflow_ocr_ray.core.raster import decode_payload_pages, encode_tiff
+
+    payload = bytearray(encode_tiff(np.zeros((3, 8), np.uint8), bilevel=True))
+    (n_tags,) = struct.unpack_from("<H", payload, 8)
+    for e in range(10, 10 + 12 * n_tags, 12):
+        if struct.unpack_from("<H", payload, e)[0] == missing:
+            struct.pack_into("<H", payload, e, 65000)  # a private tag
+    with pytest.raises(ValueError, match="StripOffsets"):
+        decode_payload_pages(bytes(payload))

@@ -139,6 +139,25 @@ def test_avi_not_riff_raises():
         decode_avi(b"\x00" * 32)
 
 
+def _nested_lists(depth: int) -> bytes:
+    inner = b""
+    for _ in range(depth):
+        inner = _list(b"movi", inner)
+    return b"RIFF" + struct.pack("<I", len(inner) + 4) + b"AVI " + inner
+
+
+@pytest.mark.parametrize("payload", [
+    _avi(2, 2, 8, 1, [bytes([2, 1, 0, 0, 2, 0, 0, 1])])[:-3],
+    _nested_lists(3000),
+], ids=["rle8_cut_short", "lists_3000_deep"])
+def test_avi_malformed_container_raises_valueerror(payload):
+    """A chunk running past its list, or LISTs nested past Python's
+    recursion limit, raise ValueError from the RIFF walk rather than
+    decoding a partial frame or overflowing the stack."""
+    with pytest.raises(ValueError):
+        decode_avi(payload)
+
+
 def test_video_stage_samples_avi_frames(ray_session):
     """VideoFrameSampleStage consumes a real AVI end-to-end: every-2nd
     frame sampled, binarized, re-encoded through the raster codec."""
