@@ -80,8 +80,12 @@ class _BitReader:
         self.nbits = 0
 
     def _fill(self):
+        if self.pos >= len(self.data):
+            raise ValueError("JPEG entropy data truncated")
         b = self.data[self.pos]
         if b == 0xFF:
+            if self.pos + 1 >= len(self.data):
+                raise ValueError("JPEG entropy data truncated")
             nxt = self.data[self.pos + 1]
             if nxt == 0x00:
                 self.pos += 2
@@ -121,6 +125,8 @@ class _BitReader:
         self.bitbuf = 0
         self.nbits = 0
         while True:
+            if self.pos + 1 >= len(self.data):
+                raise ValueError("JPEG truncated before a restart marker")
             if (self.data[self.pos] == 0xFF
                     and 0xD0 <= self.data[self.pos + 1] <= 0xD7):
                 self.pos += 2
@@ -140,8 +146,21 @@ def _extend(v: int, t: int) -> int:
     return v if v >= (1 << (t - 1)) else v - (1 << t) + 1
 
 
+def _segment(payload: bytes, pos: int) -> tuple[int, bytes]:
+    """(length, body) of the marker segment whose length field is at
+    ``pos``; a segment that runs past the payload raises ``ValueError``."""
+    if pos + 2 > len(payload):
+        raise ValueError("JPEG truncated in a marker segment")
+    (seglen,) = struct.unpack_from(">H", payload, pos)
+    if seglen < 2 or pos + seglen > len(payload):
+        raise ValueError(f"JPEG marker segment of {seglen} bytes at {pos} "
+                         "runs past the payload")
+    return seglen, payload[pos + 2:pos + seglen]
+
+
 def decode_jpeg_gray(payload: bytes) -> np.ndarray:
-    """Baseline JPEG bytes → (h, w) uint8 luma plane."""
+    """Baseline JPEG bytes → (h, w) uint8 luma plane.  A stream cut
+    short raises ``ValueError``."""
     if payload[:2] != b"\xff\xd8":
         raise ValueError("not a JPEG payload (no SOI)")
     pos = 2
@@ -150,6 +169,8 @@ def decode_jpeg_gray(payload: bytes) -> np.ndarray:
     frame = None
     restart_interval = 0
     while True:
+        if pos + 2 > len(payload):
+            raise ValueError("JPEG truncated before SOS")
         if payload[pos] != 0xFF:
             raise ValueError(f"expected marker at {pos}")
         marker = payload[pos + 1]
@@ -158,8 +179,7 @@ def decode_jpeg_gray(payload: bytes) -> np.ndarray:
             raise ValueError("EOI before SOS")
         if marker in (0x01,) or 0xD0 <= marker <= 0xD7:
             continue  # parameterless
-        (seglen,) = struct.unpack(">H", payload[pos:pos + 2])
-        body = payload[pos + 2:pos + seglen]
+        seglen, body = _segment(payload, pos)
         if marker == 0xDB:  # DQT
             i = 0
             while i < len(body):
@@ -316,6 +336,8 @@ def _decode_progressive(payload, pos, seglen, body, frame, qtables,
 
     def skip_to_marker(p):
         while True:
+            if p + 1 >= len(payload):
+                raise ValueError("JPEG truncated before EOI")
             if payload[p] == 0xFF:
                 nxt = payload[p + 1]
                 if nxt != 0x00 and not (0xD0 <= nxt <= 0xD7):
@@ -482,6 +504,8 @@ def _decode_progressive(payload, pos, seglen, body, frame, qtables,
 
         # next marker: more scans (with table updates) or EOI
         while True:
+            if pos + 2 > len(payload):
+                raise ValueError("JPEG truncated before EOI")
             marker = payload[pos + 1]
             pos += 2
             if marker == 0xD9:  # EOI — reconstruct
@@ -497,8 +521,7 @@ def _decode_progressive(payload, pos, seglen, body, frame, qtables,
                 return np.clip(np.round(out), 0, 255).astype(np.uint8)[
                     : frame["h"], : frame["w"]
                 ]
-            (seglen,) = struct.unpack(">H", payload[pos:pos + 2])
-            body = payload[pos + 2:pos + seglen]
+            seglen, body = _segment(payload, pos)
             if marker == 0xC4:  # DHT between scans
                 i = 0
                 while i < len(body):

@@ -49,12 +49,23 @@ class FontIndex:
         self.labels = list(labels)
         # main/kd.c:700-711 — any RTL char in the first 1000 labels
         self.rtl = any(has_rtl(v) for v in self.labels[:1000])
+        # ocrValue's answer per key, then OCRFAILS, for one fancy index
+        self._values = np.array(self.labels + [OCRFAILS], dtype=object)
+        # squared key norms of the nearest() expansion, per metric
+        self._norms: dict[bool, np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self.labels)
 
     def _keys(self, ignore_vertical: bool) -> np.ndarray:
         return self.tuples[:, : TUPLELENGTH - 1] if ignore_vertical else self.tuples
+
+    def _key_norms(self, ignore_vertical: bool) -> np.ndarray:
+        norms = self._norms.get(ignore_vertical)
+        if norms is None:
+            keys = self._keys(ignore_vertical)
+            norms = self._norms[ignore_vertical] = (keys * keys).sum(axis=1)
+        return norms
 
     def nearest(
         self, probes: np.ndarray, ignore_vertical: bool = False
@@ -63,6 +74,14 @@ class FontIndex:
 
         ``probes`` is (M, 27); empty index → indices=-1, dist²=BIGDIST
         (main/kd.c:178 returns BIGDIST when the tree is empty).
+
+        The page loop relies on one batched call answering as one-row
+        probes would: the argmin runs over the probe's own row of the
+        expansion and the winner's dist² is recomputed from the row
+        alone.  That the matmul's rounding moves no argmin between batch
+        shapes is checked bit for bit on the benchmark's pages by
+        ``tests/test_page_table.py``.  The key norms are computed once
+        per metric and kept.
         """
         probes = np.asarray(probes, dtype=np.float32).reshape(-1, TUPLELENGTH)
         m = probes.shape[0]
@@ -73,21 +92,19 @@ class FontIndex:
             )
         keys = self._keys(ignore_vertical)
         p = probes[:, : keys.shape[1]]
-        # exact squared L2 via expansion; float32 throughout
-        d2 = (
-            (p * p).sum(axis=1, keepdims=True)
-            - 2.0 * (p @ keys.T)
-            + (keys * keys).sum(axis=1)[None, :]
-        )
+        # exact squared L2 via expansion, float32 throughout:
+        # |p|² - 2 p·k + |k|², evaluated in that order, in place
+        d2 = p @ keys.T
+        d2 *= np.float32(2.0)
+        np.subtract((p * p).sum(axis=1, keepdims=True), d2, out=d2)
+        d2 += self._key_norms(ignore_vertical)[None, :]
         idx = np.argmin(d2, axis=1)
-        best = d2[np.arange(m), idx]
-        # numerical floor: squared distances cannot be negative
-        np.maximum(best, 0.0, out=best)
-        # recompute the winning distances the naive way for parity with the
+        # the winning distances the naive way, for parity with the
         # reference's accumulation (cheap: one row per probe)
         diffs = p - keys[idx]
-        best = (diffs * diffs).sum(axis=1).astype(np.float32)
-        return idx.astype(np.int64), best
+        np.square(diffs, out=diffs)
+        best = diffs.sum(axis=1).astype(np.float32, copy=False)
+        return idx.astype(np.int64, copy=False), best
 
     def ocr_distance2(self, probes: np.ndarray, ignore_vertical: bool = False) -> np.ndarray:
         """ocrDistance2 (main/kd.c:174-180), batched."""
@@ -102,16 +119,11 @@ class FontIndex:
     ) -> tuple[list[str], np.ndarray]:
         """ocrValue (main/kd.c:210-251), batched: labels + dist² per probe."""
         idx, d2 = self.nearest(probes, ignore_vertical)
+        if len(self.labels) == 0:
+            return [EMPTY_TREE_VALUE] * len(idx), d2
         mm2 = np.float32(min_match) * np.float32(min_match)
-        out: list[str] = []
-        for i, dist2 in zip(idx, d2):
-            if i < 0:
-                out.append(EMPTY_TREE_VALUE)
-            elif dist2 <= mm2:
-                out.append(self.labels[i])
-            else:
-                out.append(OCRFAILS)
-        return out, d2
+        pick = np.where(d2 <= mm2, idx, len(self.labels))
+        return self._values[pick].tolist(), d2
 
     def with_inserts(
         self, tuples: np.ndarray, labels: list[str]

@@ -8,7 +8,9 @@ that produces the same output:
 - ``lzw_decode``: ``tiff_lzw.lzw_decode_py``;
 - ``prefix_sum_2d``: ``segment.prefix_sum_2d_py``;
 - ``xy_cut`` (the findCells walk of one column and insertGlyph's line
-  formation): ``segment.PageSegmenter.find_cells_py``;
+  formation, returned as a box table with findLines' candidate flags):
+  ``segment.PageSegmenter.find_cells_py``, and for the flags the scalar
+  ``overlap_vertical`` and ``overlap_horizontal``;
 - ``glyph_tuples`` (the feature tuples of path-free glyphs):
   ``features.fill_tuples_py``;
 - ``html_blocks``: ``html_extract.extract_main_content_py``.
@@ -45,6 +47,10 @@ _SOURCE = Path(__file__).with_name("kernels.c")
 _CFLAGS = ["-O2", "-std=c99", "-shared", "-fPIC", "-ffp-contract=off"]
 _LDLIBS = ["-lm"]
 _BUILD_TIMEOUT_S = 120
+
+# columns of xy_cut's per-line rows, and the bits of their flags
+XL_N = 7
+XF_OVERLAPS_NEXT, XF_COMBINES = 1, 2
 
 _P = ctypes.c_void_p
 _I64 = ctypes.c_int64
@@ -167,8 +173,12 @@ class Kernels:
 
     def lzw_decode(self, data: bytes, max_out: int | None,
                    early: int) -> bytes:
-        """TIFF/PDF LZW decode.  Bounded: one pass into a buffer that
-        always fits.  Unbounded: grow and retry until it fits."""
+        """TIFF/PDF LZW decode.  The kernel keeps each table entry as the
+        offset and length of its string in the output already written,
+        so each code is one copy (byte by byte only for the KwKwK code,
+        whose copy overlaps its own bytes).  Bounded: one pass into a
+        buffer that always fits.  Unbounded: grow and retry until it
+        fits."""
         data = bytes(data)
         if max_out is not None:
             max_out = max(max_out, 0)
@@ -199,21 +209,28 @@ class Kernels:
         return out
 
     def xy_cut(self, prefix: np.ndarray, region: tuple, params: tuple,
-               stats: tuple) -> tuple[list, list, list, int]:
+               stats: tuple) -> tuple[list, np.ndarray, list, int]:
         """One column of ``segment.PageSegmenter.find_cells_py``: the
         findCells walk of ``region`` (top, bottom, left, right) over the
-        page prefix sum, and insertGlyph's lines.  ``params`` are the
-        min glyph width, height and area, the max glyph width and height
-        and ``some_dark``; ``stats`` are the page's left margin, right
-        margin, total width, total height, glyph count, glyph width and
-        glyph height before the walk.
+        page prefix sum, and insertGlyph's lines, as a box table.
+        ``params`` are the min glyph width, height and area, the max
+        glyph width and height, ``some_dark`` and ``may_combine``;
+        ``stats`` are the page's left margin, right margin, total width,
+        total height, glyph count, glyph width and glyph height before
+        the walk.
 
-        Returns (stats after the walk, glyph boxes (left, right, top,
-        bottom) line by line in page order, (top, bottom, left border,
-        right border, glyph count) per line, and the height of the glyph
-        that stopped the walk as too tall, or 0)."""
+        Returns (stats after the walk; an (n, 4) int64 array of glyph
+        boxes (left, right, top, bottom), line by line in page order;
+        per line a list (top, bottom, left border, right border, glyph
+        count, sum of glyph widths, flags); and the height of the glyph
+        that stopped the walk as too tall, or 0).  The flags are
+        findLines' candidate tests against the stats after the walk:
+        bit 0 (``XF_OVERLAPS_NEXT``) when ``overlap_vertical`` holds for
+        the line and the next one, bit 1 (``XF_COMBINES``) when
+        ``overlap_horizontal`` holds for two neighbouring glyphs of the
+        line."""
         h, w = _check_prefix(prefix)
-        # region (4) | params (6) | stats (7) | sizes (3)
+        # region (4) | params (7) | stats (7) | sizes (3)
         head = np.array([*region, *params, *stats, 0, 0, 0], dtype=np.int64)
         at = head.ctypes.data
         box_cap, stack_cap = 256, h + w + 16
@@ -221,13 +238,13 @@ class Kernels:
             # stack | glyphs | lines | line order | out boxes | out lines
             offs = list(itertools.accumulate(
                 (5 * stack_cap, 5 * box_cap, 6 * box_cap, box_cap,
-                 4 * box_cap, 5 * box_cap), initial=0))
+                 4 * box_cap, XL_N * box_cap), initial=0))
             work = np.empty(offs[-1], dtype=np.int64)
             ptr = [work.ctypes.data + 8 * o for o in offs[:-1]]
             rc = self._lib.xy_cut(
-                prefix.ctypes.data, h, w, at, at + 8 * 4, at + 8 * 10,
+                prefix.ctypes.data, h, w, at, at + 8 * 4, at + 8 * 11,
                 ptr[0], stack_cap, ptr[1], ptr[2], ptr[3], box_cap,
-                ptr[4], ptr[5], at + 8 * 17,
+                ptr[4], ptr[5], at + 8 * 18,
             )
             if rc == 2:  # box buffer full
                 box_cap *= 4
@@ -235,10 +252,11 @@ class Kernels:
                 stack_cap *= 2
             else:
                 break
-        n, nlines, too_tall = head[17:20].tolist()
-        boxes = work[offs[4]:offs[4] + 4 * n].reshape(n, 4).tolist()
-        lines = work[offs[5]:offs[5] + 5 * nlines].reshape(nlines, 5).tolist()
-        return head[10:17].tolist(), boxes, lines, too_tall
+        n, nlines, too_tall = head[18:21].tolist()
+        boxes = work[offs[4]:offs[4] + 4 * n].reshape(n, 4)
+        lines = work[offs[5]:offs[5] + XL_N * nlines].reshape(
+            nlines, XL_N).tolist()
+        return head[11:18].tolist(), boxes, lines, too_tall
 
     def glyph_tuples(self, prefix: np.ndarray, boxes: np.ndarray,
                      line_heights: np.ndarray,

@@ -160,23 +160,28 @@ int decode_g4(const uint8_t *data, int64_t nbytes, int64_t width,
 /* Returns the output length, -1 on a bad code (err[0] = the code), or -2
  * when cap is too small (the caller retries with a larger buffer).
  * max_out < 0 means unbounded; otherwise decoding stops after the entry
- * that reaches max_out, so cap >= max_out + LZW_TABLE always suffices. */
+ * that reaches max_out, so cap >= max_out + LZW_TABLE always suffices.
+ *
+ * A table entry is stored as where its string was written in the output
+ * and its length: every entry after the first 256 is the previous code's
+ * string plus one byte, and that byte is the first one written for the
+ * current code, so the string already sits in the output at the previous
+ * code's offset.  Each code is then one copy out of the output.  Only the
+ * KwKwK entry (the code being defined by this very code) overlaps the
+ * bytes it produces; it is copied byte by byte, front to back, which
+ * repeats its first byte at its end. */
 int64_t lzw_decode(const uint8_t *data, int64_t n, int64_t max_out,
                    int early, uint8_t *out, int64_t cap, int64_t *err)
 {
     static const int FIRST = 258;
-    uint16_t prefix[LZW_TABLE];
-    uint8_t suffix[LZW_TABLE], first[LZW_TABLE];
+    int64_t at[LZW_TABLE];
     int32_t len[LZW_TABLE];
-    for (int i = 0; i < 256; i++) {
-        suffix[i] = first[i] = (uint8_t)i;
-        len[i] = 1;
-    }
     int width = 9;
     int64_t nt = FIRST; /* table length; entries >= LZW_TABLE are never
                            addressable, so they are counted, not stored */
     int64_t bump = (1 << 9) - 1 - early;
     int prev = -1;
+    int64_t prev_at = 0, prev_len = 0; /* where prev's string was written */
     uint64_t buf = 0;
     int nbits = 0;
     int64_t ipos = 0, olen = 0;
@@ -214,32 +219,35 @@ int64_t lzw_decode(const uint8_t *data, int64_t n, int64_t max_out,
                 err[0] = code;
                 return -1;
             }
-        } else if (code < nt) {
+        } else if (code <= nt) { /* code == nt is the KwKwK case */
             if (nt < LZW_TABLE) {
-                prefix[nt] = (uint16_t)prev;
-                suffix[nt] = first[code];
-                first[nt] = first[prev];
-                len[nt] = len[prev] + 1;
+                at[nt] = prev_at;
+                len[nt] = (int32_t)prev_len + 1;
             }
-            nt++;
-        } else if (code == nt) { /* the KwKwK case */
-            prefix[nt] = (uint16_t)prev;
-            suffix[nt] = first[prev];
-            first[nt] = first[prev];
-            len[nt] = len[prev] + 1;
             nt++;
         } else {
             err[0] = code;
             return -1;
         }
-        int64_t k = len[code];
+        int64_t k = code < 256 ? 1 : len[code];
         if (olen + k > cap)
             return -2;
-        uint8_t *p = out + olen + k;
-        for (int c = code; k-- > 0; c = prefix[c])
-            *--p = suffix[c];
-        olen += len[code];
+        uint8_t *dst = out + olen;
+        if (code < 256) {
+            *dst = (uint8_t)code;
+        } else {
+            const uint8_t *src = out + at[code];
+            if (at[code] + k <= olen) {
+                memcpy(dst, src, (size_t)k);
+            } else {
+                for (int64_t i = 0; i < k; i++)
+                    dst[i] = src[i];
+            }
+        }
         prev = code;
+        prev_at = olen;
+        prev_len = k;
+        olen += k;
         if (nt == bump && width < 12) {
             width++;
             bump = ((int64_t)1 << width) - 1 - early;
@@ -295,7 +303,19 @@ enum {
 };
 
 /* params */
-enum { XP_MIN_W, XP_MIN_H, XP_MIN_AREA, XP_MAX_W, XP_MAX_H, XP_SOME_DARK };
+enum {
+    XP_MIN_W, XP_MIN_H, XP_MIN_AREA, XP_MAX_W, XP_MAX_H, XP_SOME_DARK,
+    XP_MAY_COMBINE
+};
+/* out_lines columns */
+enum {
+    XL_TOP, XL_BOTTOM, XL_LEFT, XL_RIGHT, XL_COUNT, XL_WIDTH, XL_FLAGS, XL_N
+};
+/* XL_FLAGS bits: the candidate tests of findLines */
+enum {
+    XF_OVERLAPS_NEXT = 1, /* overlapVertical with the next line */
+    XF_COMBINES = 2,      /* overlapHorizontal of two neighbouring glyphs */
+};
 /* stats, read and written back: the page stats insertGlyph keeps */
 enum {
     XS_LEFT_MARGIN, XS_RIGHT_MARGIN, XS_TOTAL_WIDTH, XS_TOTAL_HEIGHT,
@@ -576,15 +596,41 @@ static int xy_region(xy_t *x, int64_t h, int64_t w, int64_t top,
     return xy_insert(x, left, right + 1, top, bottom + 1);
 }
 
+/* overlapVertical (main/segment.c:413-430) of lines f and s. */
+static int xy_overlap_vertical(const int64_t *f, const int64_t *s, int64_t gh)
+{
+    if (s[XL_TOP] <= f[XL_BOTTOM] && f[XL_BOTTOM] <= s[XL_BOTTOM])
+        return 1;
+    if (f[XL_TOP] <= s[XL_BOTTOM] && s[XL_BOTTOM] <= f[XL_BOTTOM])
+        return 1;
+    int64_t top = f[XL_TOP] < s[XL_TOP] ? f[XL_TOP] : s[XL_TOP];
+    int64_t bottom = f[XL_BOTTOM] > s[XL_BOTTOM] ? f[XL_BOTTOM] : s[XL_BOTTOM];
+    return bottom - top < 2 * gh;
+}
+
+/* overlapHorizontal (main/segment.c:384-409) of boxes a and b (left,
+ * right, top, bottom), with combining allowed. */
+static int xy_overlap_horizontal(const int64_t *a, const int64_t *b,
+                                 int64_t gh, int64_t max_h)
+{
+    if (!((b[0] <= a[1] && a[1] <= b[1]) || (a[0] <= b[1] && b[1] <= a[1])))
+        return 0;
+    int64_t up = a[2] - b[3], down = b[2] - a[3];
+    int64_t new_height = up < down ? up : down;
+    return !(new_height > floor_div(gh, 2) || new_height > max_h);
+}
+
 /* ps: the (h+1) x (w+1) prefix sum; region: top, bottom, left, right;
  * params: XP_*; stats: XS_*, updated in place.
  * stack: 5 * stack_cap; glyph: 5 * box_cap; line: 6 * box_cap and
  * order: box_cap (scratch).  On XY_OK or XY_TOO_TALL the lines formed so
  * far are written in page order: boxes (left, right, top, bottom) to
  * out_boxes (4 * box_cap), line by line with each line's glyphs left to
- * right, and (top, bottom, left border, right border, glyph count) per
- * line to out_lines (5 * box_cap); sizes gets (glyphs, lines, height of
- * the glyph that was too tall).  Nothing is written on a full buffer. */
+ * right, and XL_N columns per line to out_lines (XL_N * box_cap): top,
+ * bottom, left border, right border, glyph count, the sum of its glyph
+ * widths and the XF_* flags, tested against the page stats after the
+ * walk; sizes gets (glyphs, lines, height of the glyph that was too
+ * tall).  Nothing is written on a full buffer. */
 int xy_cut(const int32_t *ps, int64_t h, int64_t w, const int64_t *region,
            const int64_t *params, int64_t *stats, int64_t *stack,
            int64_t stack_cap, int64_t *glyph, int64_t *line, int64_t *order,
@@ -605,13 +651,24 @@ int xy_cut(const int32_t *ps, int64_t h, int64_t w, const int64_t *region,
     if (rc == XY_BOXES_FULL || rc == XY_STACK_FULL)
         return rc;
     memcpy(stats, x.st, sizeof x.st);
-    int64_t k = 0;
+    int64_t gh = x.st[XS_GLYPH_HEIGHT], k = 0;
     for (int64_t i = 0; i < x.nlines; i++) {
         const int64_t *ln = x.line + 6 * x.order[i];
-        memcpy(out_lines + 5 * i, ln, 4 * sizeof(int64_t));
-        out_lines[5 * i + 4] = ln[5];
-        for (int64_t g = ln[4]; g >= 0; g = x.glyph[5 * g + 4])
-            memcpy(out_boxes + 4 * k++, x.glyph + 5 * g, 4 * sizeof(int64_t));
+        int64_t *out = out_lines + XL_N * i;
+        memcpy(out, ln, 4 * sizeof(int64_t));
+        out[XL_COUNT] = ln[5];
+        out[XL_WIDTH] = 0;
+        out[XL_FLAGS] = 0;
+        for (int64_t g = ln[4]; g >= 0; g = x.glyph[5 * g + 4]) {
+            int64_t *box = out_boxes + 4 * k++;
+            memcpy(box, x.glyph + 5 * g, 4 * sizeof(int64_t));
+            out[XL_WIDTH] += box[1] - box[0];
+            if (params[XP_MAY_COMBINE] && g != ln[4]
+                && xy_overlap_horizontal(box - 4, box, gh, params[XP_MAX_H]))
+                out[XL_FLAGS] |= XF_COMBINES;
+        }
+        if (i > 0 && xy_overlap_vertical(out - XL_N, out, gh))
+            out[XL_FLAGS - XL_N] |= XF_OVERLAPS_NEXT;
     }
     sizes[0] = k;
     sizes[1] = x.nlines;

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from tensorflow_ocr_ray.config import OcrConfig, TUPLELENGTH
+from tensorflow_ocr_ray.config import OcrConfig
 from tensorflow_ocr_ray.core.assemble import assemble_page_text
 from tensorflow_ocr_ray.core.knn import FontIndex
 from tensorflow_ocr_ray.core.raster import decode_payload_pages, deskew
@@ -86,41 +86,22 @@ def ocr_page_image(
         if not seg.find_lines(col):
             continue
         seg.build_tuples()
+        # one batched kNN call: the labels, and the dist² the split and
+        # narrow tests read for every glyph whose tuple they keep
+        seg.classify()
         if cfg.may_combine:
             seg.split_wide_glyphs()
             seg.narrow_glyphs()
-        # classify all glyphs in reading order, batched; the NaN screen
-        # runs once on the stacked matrix instead of per glyph (the
-        # per-glyph np.all(np.isfinite(...)) was ~0.5 ms/page of numpy
-        # call overhead at 69 glyphs/page)
-        _zero = np.zeros(TUPLELENGTH, dtype=np.float32)
-        feats = [
-            g.tuple if g.tuple is not None else _zero
-            for line in seg.lines
-            for g in line.glyphs
-        ]
-        if feats:
-            fmat = np.stack(feats)
-            bad = ~np.isfinite(fmat).all(axis=1)
-            if bad.any():
-                fmat[bad] = 0.0
-            values, d2 = index.ocr_values(
-                fmat, cfg.min_match, cfg.ignore_vertical
-            )
-            if classifier is not None:
-                if classifier_input == "windows":
-                    from tensorflow_ocr_ray.core.raster import glyph_windows
+        tab = seg.glyph_table()
+        values, d2 = tab.labels, tab.dist2
+        if classifier is not None and values:
+            if classifier_input == "windows":
+                from tensorflow_ocr_ray.core.raster import glyph_windows
 
-                    boxes = [
-                        (g.left, g.right, g.top, g.bottom)
-                        for line in seg.lines
-                        for g in line.glyphs
-                    ]
-                    values = list(classifier(glyph_windows(image, boxes)))
-                else:
-                    values = list(classifier(fmat))
-        else:
-            values, d2 = [], np.empty(0, dtype=np.float32)
+                values = list(
+                    classifier(glyph_windows(image, tab.boxes.tolist())))
+            else:
+                values = list(classifier(tab.fmat))
         if predictions is not None:
             n = len(values)
             if pred_cursor + n > len(predictions):
@@ -132,42 +113,45 @@ def ocr_page_image(
             values = predictions[pred_cursor : pred_cursor + n]
             pred_cursor += n
         total_glyphs += len(values)
-        # build assembly input + glyph records
+        # assembly input (one dict per line, over slices of the columns)
+        # and, when asked for, one record per glyph
+        lefts = tab.boxes[:, 0].tolist()
+        rights = tab.boxes[:, 1].tolist()
         lines_payload = []
         k = 0
-        for li, line in enumerate(seg.lines):
-            vals, lefts, rights = [], [], []
-            for gi, g in enumerate(line.glyphs):
-                vals.append(values[k])
-                lefts.append(g.left)
-                rights.append(g.right)
-                if collect_glyphs:
+        for li, (top, bottom, left_border, right_border, count) in \
+                enumerate(tab.lines):
+            stop = k + count
+            if collect_glyphs:
+                for gi, (left, right, g_top, g_bottom) in enumerate(
+                        tab.boxes[k:stop].tolist()):
                     glyph_records.append(
                         GlyphRecord(
                             column=col,
                             line_idx=li,
                             glyph_idx=gi,
-                            left=g.left,
-                            right=g.right,
-                            top=g.top,
-                            bottom=g.bottom,
-                            features=np.asarray(feats[k], dtype=np.float32),
-                            label=values[k],
-                            dist2=float(d2[k]) if k < len(d2) else -1.0,
+                            left=left,
+                            right=right,
+                            top=g_top,
+                            bottom=g_bottom,
+                            features=tab.tuples[k + gi],
+                            label=values[k + gi],
+                            dist2=(float(d2[k + gi]) if k + gi < len(d2)
+                                   else -1.0),
                         )
                     )
-                k += 1
             lines_payload.append(
                 {
-                    "top": line.top,
-                    "bottom": line.bottom,
-                    "left_border": line.left_border,
-                    "right_border": line.right_border,
-                    "values": vals,
-                    "lefts": lefts,
-                    "rights": rights,
+                    "top": top,
+                    "bottom": bottom,
+                    "left_border": left_border,
+                    "right_border": right_border,
+                    "values": values[k:stop],
+                    "lefts": lefts[k:stop],
+                    "rights": rights[k:stop],
                 }
             )
+            k = stop
         texts.append(
             assemble_page_text(
                 lines_payload,

@@ -191,9 +191,12 @@ def _decode_ifd(payload: bytes, tags: dict[int, list[int]]) -> tuple[np.ndarray,
             else:  # 2 = Modified Huffman, every row byte-aligned, no EOL
                 rows.append(decode_g3(strip, width, nrows,
                                       byte_align=True))
-        img = np.concatenate(rows, axis=0)
+        # the decoders return fresh uint8 arrays: one strip is the page
+        img = rows[0] if len(rows) == 1 else np.concatenate(rows, axis=0)
         # fax 1 = black ink; photometric 0 (WhiteIsZero) is the fax norm
-        return (img if photometric == 0 else 1 - img).astype(np.uint8), 1
+        if photometric != 0:
+            np.subtract(1, img, out=img)
+        return img, 1
 
     if compression == 7:  # JPEG-in-TIFF (TTN2): one JPEG stream per strip
         from tensorflow_ocr_ray.core.jpeg import decode_jpeg_gray
@@ -211,7 +214,7 @@ def _decode_ifd(payload: bytes, tags: dict[int, list[int]]) -> tuple[np.ndarray,
             img = 255 - img
         return img.astype(np.uint8), 8
 
-    data = bytearray()
+    strips = []
     for i, (soff, scount) in enumerate(zip(offsets, counts)):
         strip = payload[soff : soff + scount]
         nrows = min(rows_per_strip, height - i * rows_per_strip)
@@ -227,8 +230,9 @@ def _decode_ifd(payload: bytes, tags: dict[int, list[int]]) -> tuple[np.ndarray,
             strip = zlib.decompress(strip)
         if bits == 1:
             strip = _fix_order(strip)
-        data += strip
-    buf = np.frombuffer(bytes(data), dtype=np.uint8, count=height * row_bytes)
+        strips.append(strip)
+    data = strips[0] if len(strips) == 1 else b"".join(strips)
+    buf = np.frombuffer(data, dtype=np.uint8, count=height * row_bytes)
     if bits == 1:
         rows = buf.reshape(height, row_bytes)
         img = np.unpackbits(rows, axis=1)[:, :width]
@@ -346,10 +350,20 @@ def encode_tiff(
 
 
 def _binarize_page(img: np.ndarray, bits: int, cutoff: float) -> np.ndarray:
+    """Ink (1) where ``3 * img <= lround(3*256*cutoff)``.  For integer
+    pixels that is ``img <= cutoff_total // 3``, one compare of the page
+    as it is; the threshold is clamped to the pixel range first, so the
+    compare never widens the pixel type."""
     if bits == 1:
         return img
     cutoff_total = int(np.floor(3 * 256 * cutoff + 0.5))
-    return (3 * img.astype(np.int32) <= cutoff_total).astype(np.uint8)
+    if img.dtype.kind not in "ui":
+        return (3 * img.astype(np.int32) <= cutoff_total).astype(np.uint8)
+    info = np.iinfo(img.dtype)
+    limit = cutoff_total // 3
+    if limit < info.min:
+        return np.zeros(img.shape, dtype=np.uint8)
+    return (img <= min(limit, info.max)).view(np.uint8)
 
 
 def _payload_pages(payload: bytes, cutoff: float) -> Iterator[np.ndarray]:

@@ -26,14 +26,27 @@ Deliberate, documented deviations from the reference:
   distributed engine must make every span's output a pure function of that
   span.  Within a page the arithmetic is identical.
 - Recursion (findCells, floodRecur) is iterative here.
+
+One column is carried as a box table from the XY-cut to assembly: the
+native ``xy_cut`` returns the glyph boxes line by line with findLines'
+candidate flags, and every later step tests its own candidates on the
+arrays (``split_wide_glyphs``' width and distance test, ``narrow_glyphs``'
+gap and distance test).  Only a line with a candidate becomes ``Line``
+and ``Glyph`` objects, runs the reference-shaped code below and stays an
+object; ``glyph_table`` gathers both kinds back into arrays in reading
+order.  One batched kNN call (``classify``) gives the labels and the
+probe distances of every glyph whose tuple no step changes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from tensorflow_ocr_ray.config import OcrConfig
+from tensorflow_ocr_ray.config import TUPLELENGTH, OcrConfig
 from tensorflow_ocr_ray.core import native
+from tensorflow_ocr_ray.core.native import XF_COMBINES, XF_OVERLAPS_NEXT
 from tensorflow_ocr_ray.core.features import (
     fill_tuple,
     fill_tuples,
@@ -105,6 +118,60 @@ class Line:
         self.left_border, self.right_border = left, right
 
 
+class _BoxTable:
+    """One column's glyphs as ``xy_cut`` leaves them, filled in step by
+    step.  Row r is a glyph; the rows of line k are
+    ``start[k]:start[k + 1]``, in page order, each line left to right."""
+
+    __slots__ = ("box", "lines", "start", "line_height", "tuples", "dist2",
+                 "labels")
+
+    # columns of a line's row after its bounds (top, bottom, left border,
+    # right border): glyph count, sum of glyph widths, XF_* flags
+    COUNT, WIDTH, FLAGS = 4, 5, 6
+
+    def __init__(self, box: np.ndarray, lines: list[list[int]]):
+        self.box = box  # (n, 4) int64: left, right, top, bottom
+        self.lines = lines
+        self.start = np.zeros(len(lines) + 1, dtype=np.int64)
+        np.cumsum([ln[self.COUNT] for ln in lines], out=self.start[1:])
+        self.line_height: np.ndarray | None = None  # (n,), find_lines
+        self.tuples: np.ndarray | None = None  # (n, 27), build_tuples
+        self.dist2: np.ndarray | None = None  # (n,) float32, classify
+        self.labels: list[str] | None = None  # classify
+
+    def line_of(self, rows: np.ndarray) -> list[int]:
+        """The distinct lines that hold ``rows``."""
+        return np.unique(
+            np.searchsorted(self.start, rows, side="right") - 1).tolist()
+
+
+@dataclass
+class GlyphTable:
+    """A column's final glyphs in reading order, as arrays."""
+
+    boxes: np.ndarray  # (n, 4) int64: left, right, top, bottom
+    tuples: np.ndarray  # (n, 27) float32 as built (NaN for empty boxes)
+    fmat: np.ndarray  # ``tuples`` with non-finite rows zeroed: kNN input
+    labels: list[str]  # ocrValue of each row of ``fmat``
+    dist2: np.ndarray  # (n,) float32 NN dist² of each row of ``fmat``
+    # per line: top, bottom, left border, right border, glyph count
+    lines: list[tuple[int, int, int, int, int]]
+
+
+_ZERO_TUPLE = np.zeros(TUPLELENGTH, dtype=np.float32)
+
+
+def _screened(tuples: np.ndarray) -> np.ndarray:
+    """``tuples`` with its non-finite rows zeroed (a copy only when one
+    is): what the classifier sees of an empty glyph box."""
+    bad = ~np.isfinite(tuples).all(axis=1)
+    if bad.any():
+        tuples = tuples.copy()
+        tuples[bad] = 0.0
+    return tuples
+
+
 def copy_path(path: np.ndarray | None, height: int) -> np.ndarray | None:
     """copyPath (main/segment.c:1734-1739): truncating copy to ``height``."""
     if path is None:
@@ -149,12 +216,74 @@ class PageSegmenter:
         self.glyph_count = 0
         self.glyph_width = 0
         self.glyph_height = 0
-        self.lines: list[Line] = []
+        # the column's lines in page order: a Line, or the int id of a
+        # line still in self._table
+        self._lines: list[Line | int] = []
+        self._table: _BoxTable | None = None
+        # id(tuple) -> (tuple, dist², label) from classify's batched call
+        self._knn: dict[int, tuple[np.ndarray, np.float32, str]] = {}
         self.left_border = 0
         self.right_border = self.w - 1
         self._prev_left_border: int | None = None
         self._prev_right_border: int | None = None
         self._ps: np.ndarray | None = None  # 2-D prefix sum of (image != 0)
+
+    # ---------------- lines: objects or box-table rows --------------------
+    @property
+    def lines(self) -> list[Line]:
+        """The column's lines as objects.  Lines still in the box table
+        are turned into objects first, and stay objects."""
+        self._materialize_all()
+        return self._lines  # type: ignore[return-value]
+
+    @lines.setter
+    def lines(self, lines: list[Line]) -> None:
+        self._lines = lines
+        self._table = None
+        self._knn = {}
+
+    def _materialize(self, i: int) -> Line:
+        """``_lines[i]`` as a Line: a table line becomes Glyph objects
+        carrying what the table holds for them so far (line height,
+        tuple, and classify's dist² and label)."""
+        entry = self._lines[i]
+        if type(entry) is not int:
+            return entry  # type: ignore[return-value]
+        t = self._table
+        line = Line()
+        line.top, line.bottom, line.left_border, line.right_border = \
+            t.lines[entry][:4]
+        lo, hi = int(t.start[entry]), int(t.start[entry + 1])
+        line.glyphs = [Glyph(*box) for box in t.box[lo:hi].tolist()]
+        for r, g in enumerate(line.glyphs, lo):
+            if t.line_height is not None:
+                g.line_height = int(t.line_height[r])
+            if t.tuples is not None:
+                g.tuple = t.tuples[r]
+                if t.dist2 is not None:
+                    self._knn[id(g.tuple)] = (g.tuple, t.dist2[r],
+                                              t.labels[r])
+        self._lines[i] = line
+        return line
+
+    def _materialize_all(self) -> None:
+        for i, entry in enumerate(self._lines):
+            if type(entry) is int:
+                self._materialize(i)
+
+    def _materialize_lines(self, ids: list[int]) -> None:
+        """Turn the table lines ``ids`` into objects."""
+        todo = set(ids)
+        for i, entry in enumerate(self._lines):
+            if type(entry) is int and entry in todo:
+                self._materialize(i)
+
+    def _bounds(self, i: int) -> tuple[int, int]:
+        """(top, bottom) of ``_lines[i]``."""
+        entry = self._lines[i]
+        if type(entry) is int:
+            return tuple(self._table.lines[entry][:2])  # type: ignore
+        return entry.top, entry.bottom
 
     # ---------------- pixel predicates (vectorized) ----------------------
     def _prefix(self) -> np.ndarray:
@@ -199,8 +328,13 @@ class PageSegmenter:
         return g.tuple
 
     def ocr_distance2(self, tup: np.ndarray) -> float:
+        """NN dist² of one tuple; a tuple classify has seen is not probed
+        again."""
         if not np.all(np.isfinite(tup)):
             return float(BIGDIST)
+        hit = self._knn.get(id(tup))
+        if hit is not None and hit[0] is tup:
+            return float(hit[1])
         return float(
             self.index.ocr_distance2(tup[None, :], self.cfg.ignore_vertical)[0]
         )
@@ -225,7 +359,7 @@ class PageSegmenter:
         self.glyph_width = self.total_width // self.glyph_count
         self.glyph_height = self.total_height // self.glyph_count
         g = Glyph(left, right, top, bottom)
-        for li, line in enumerate(self.lines):
+        for li, line in enumerate(self._lines):
             if line.top > bottom:
                 break  # gone too far; need a new line before this one
             ok = (
@@ -250,12 +384,12 @@ class PageSegmenter:
         new_line.top, new_line.bottom = top, bottom
         new_line.left_border, new_line.right_border = left, right
         new_line.glyphs.append(g)
-        pos = len(self.lines)
-        for li, line in enumerate(self.lines):
+        pos = len(self._lines)
+        for li, line in enumerate(self._lines):
             if line.top > bottom:
                 pos = li
                 break
-        self.lines.insert(pos, new_line)
+        self._lines.insert(pos, new_line)
         return g
 
     # ---------------- XY-cut ---------------------------------------------
@@ -283,22 +417,24 @@ class PageSegmenter:
         """findCells (main/segment.c:278-352) with insertGlyph's line
         formation, in one call of the native ``xy_cut`` kernel: it walks
         the region over the page prefix sum in ``find_cells_py``'s exact
-        order, forms the lines and updates the page stats; the lines are
-        then built here in one pass.  The kernel starts from no lines,
-        as ``find_lines`` does.  ``find_cells_py`` is the reference and
-        runs instead when the kernels are unavailable."""
+        order, forms the lines, updates the page stats and flags
+        findLines' candidates.  Its box table becomes the column's lines,
+        as table lines (see ``_materialize``).  The kernel starts from no
+        lines, as ``find_lines`` does.  ``find_cells_py`` is the reference
+        and runs instead when the kernels are unavailable."""
         kernels = native.load()
         if kernels is None:
             self.find_cells_py(top, bottom, left, right)
             return
-        # the kernel appends its lines; the reference would merge glyphs
-        # into existing ones, so the two agree only from an empty page
-        assert not self.lines, "xy_cut starts from no lines"
+        # the kernel starts a table; the reference would merge glyphs
+        # into existing lines, so the two agree only from an empty page
+        assert not self._lines, "xy_cut starts from no lines"
         cfg = self.cfg
         stats, boxes, lines, too_tall = kernels.xy_cut(
             self._prefix(), (top, bottom, left, right),
             (cfg.min_glyph_width, cfg.min_glyph_height, cfg.min_glyph_area,
-             cfg.max_glyph_width, cfg.max_glyph_height, cfg.some_dark),
+             cfg.max_glyph_width, cfg.max_glyph_height, cfg.some_dark,
+             int(bool(cfg.may_combine))),
             (self.left_margin, self.right_margin, self.total_width,
              self.total_height, self.glyph_count, self.glyph_width,
              self.glyph_height),
@@ -306,14 +442,9 @@ class PageSegmenter:
         (self.left_margin, self.right_margin, self.total_width,
          self.total_height, self.glyph_count, self.glyph_width,
          self.glyph_height) = stats
-        k = 0
-        for line_top, line_bottom, line_left, line_right, n in lines:
-            line = Line()
-            line.top, line.bottom = line_top, line_bottom
-            line.left_border, line.right_border = line_left, line_right
-            line.glyphs = [Glyph(*box) for box in boxes[k:k + n]]
-            k += n
-            self.lines.append(line)
+        if lines:
+            self._table = _BoxTable(boxes, lines)
+            self._lines = list(range(len(lines)))
         if too_tall:
             raise RuntimeError(_too_tall_message(too_tall, cfg))
 
@@ -661,12 +792,27 @@ class PageSegmenter:
         """overlapVertical (segment.c:413-430)."""
         if f is None or s is None:
             return False
-        if s.top <= f.bottom <= s.bottom:
+        return self._overlap_bounds(f.top, f.bottom, s.top, s.bottom)
+
+    def _overlap_bounds(self, f_top: int, f_bottom: int, s_top: int,
+                        s_bottom: int) -> bool:
+        """overlapVertical on two lines' (top, bottom)."""
+        if s_top <= f_bottom <= s_bottom:
             return True
-        if f.top <= s.bottom <= f.bottom:
+        if f_top <= s_bottom <= f_bottom:
             return True
-        combined = max(f.bottom, s.bottom) - min(f.top, s.top)
+        combined = max(f_bottom, s_bottom) - min(f_top, s_top)
         return combined < 2 * self.glyph_height
+
+    def _overlaps_next(self, i: int) -> bool:
+        """overlapVertical of ``_lines[i]`` and ``_lines[i + 1]``.  Two
+        neighbouring table lines are neighbours in the table too, whose
+        flag holds the answer."""
+        f, s = self._lines[i], self._lines[i + 1]
+        if type(f) is int and type(s) is int:
+            return bool(self._table.lines[f][_BoxTable.FLAGS]
+                        & XF_OVERLAPS_NEXT)
+        return self._overlap_bounds(*self._bounds(i), *self._bounds(i + 1))
 
     def vertically_close(self, g: Glyph, line: Line, next_line: Line | None) -> bool:
         """verticallyClose (segment.c:461-505)."""
@@ -692,8 +838,8 @@ class PageSegmenter:
         """combineLines (segment.c:520-601): redistribute glyphs of
         lines[i] and lines[i+1] into 1+ fresh lines; returns the index of
         the LAST resulting line (the C function's return pointer)."""
-        first = list(self.lines[i].glyphs)
-        second = list(self.lines[i + 1].glyphs)
+        first = list(self._lines[i].glyphs)
+        second = list(self._lines[i + 1].glyphs)
         out: list[Line] = [Line()]
         fi = si = 0
         while fi < len(first) or si < len(second):
@@ -721,7 +867,7 @@ class PageSegmenter:
                 cur.bottom = max(cur.bottom, g.bottom)
         for line in out:
             line.adjust_stats()
-        self.lines[i : i + 2] = out
+        self._lines[i : i + 2] = out
         return i + len(out) - 1
 
     def copy_glyph(self, g: Glyph, new_lines: list[Line]) -> None:
@@ -752,15 +898,17 @@ class PageSegmenter:
     def split_line(self, i: int) -> None:
         """splitLine (segment.c:739-771)."""
         new_lines: list[Line] = []
-        for g in self.lines[i].glyphs:
+        for g in self._lines[i].glyphs:
             self.copy_glyph(g, new_lines)
-        self.lines[i : i + 1] = new_lines
+        self._lines[i : i + 1] = new_lines
         # the reference refills only the replaced line and its successor
         # (segment.c:769-770), and refillLine's loop bound skips the LAST
         # glyph of each line (segment.c:434-441).  In batch flow tuples
         # are still None here (buildTuples runs later) so this is a no-op
         # either way; reproduced for the interactive redo flow's sake.
-        for line in self.lines[i : i + 2]:
+        for line in self._lines[i : i + 2]:
+            if type(line) is int:  # still in the box table: no tuples
+                continue
             for g in line.glyphs[:-1]:
                 if g.tuple is not None:
                     refill_tuple(
@@ -1016,134 +1164,185 @@ class PageSegmenter:
         line.glyphs.insert(gi + 1, second)
 
     def split_wide_glyphs(self) -> None:
-        """splitWideGlyphs (segment.c:1224-1386)."""
+        """splitWideGlyphs (segment.c:1224-1386).  A table line whose
+        glyphs all fail the first test (wider than ``splittable`` glyph
+        widths and farther than ``good_match2`` from the font, by
+        classify's dist²) is left as it is."""
+        t = self._table
+        if t is not None and t.dist2 is not None:
+            cand = self._split_candidates()
+            if cand.any():
+                self._materialize_lines(t.line_of(np.flatnonzero(cand)))
+        else:  # no dist² to test on: every line as objects
+            self._materialize_all()
+        for line in self._lines:
+            if type(line) is not int:
+                self._split_wide_line(line)
+
+    def _split_candidates(self) -> np.ndarray:
+        """Per table row: the first test of splitWideGlyphs, on the row's
+        width and classify's dist²."""
+        cfg, t = self.cfg, self._table
+        width = t.box[:, 1] - t.box[:, 0]
+        return (width > cfg.splittable * self.glyph_width) & (
+            t.dist2.astype(np.float64) > cfg.good_match2)
+
+    def _split_wide_line(self, line: Line) -> None:
+        """The body of splitWideGlyphs for one line."""
         cfg = self.cfg
-        for line in self.lines:
-            gi = 0
-            while gi < len(line.glyphs):
-                g = line.glyphs[gi]
-                if not (
-                    g.right - g.left > cfg.splittable * self.glyph_width
-                    and self.ocr_distance2(g.tuple) > cfg.good_match2
-                ):
-                    gi += 1
-                    continue
-                handled = False
-                if not cfg.use_flood:
-                    split_path = self.try_path_separation(g)
-                    if split_path is not None:
-                        first, cost = self.evaluate_path_split(g, split_path)
-                        # NOTE: the reference compares dist² against the
-                        # UN-squared minMatch here (segment.c:1247)
-                        if cost < cfg.min_match:
-                            self.finish_path_split(line, gi, first, split_path)
-                            gi += 1
-                            handled = True
-                if handled:
-                    continue
-                gap = cfg.min_glyph_width // cfg.split_gap
-                best_cost = 2 * cfg.min_match
-                first_ocr2 = 2 * cfg.min_match
-                best_split_point = None
-                for split_point in range(
-                    g.left + cfg.min_glyph_width, g.right - cfg.min_glyph_width
-                ):
-                    first = g.shallow_copy()
-                    first.left_path = copy_path(g.left_path, first.height)
-                    first.right_path = None
-                    first.right = split_point - gap
-                    second = g.shallow_copy()
-                    second.left = split_point + gap
-                    second.left_path = copy_path(g.left_path, second.height)
-                    second.right_path = copy_path(g.right_path, second.height)
-                    self.narrow_glyph(first)
-                    self.narrow_glyph(second)
-                    first.tuple = None
-                    second.tuple = None
-                    self._fill_tuple(first)
-                    self._fill_tuple(second)
-                    d_first = self.ocr_distance2(first.tuple)
-                    the_distance = d_first + self.ocr_distance2(second.tuple)
-                    if the_distance <= best_cost:
-                        best_cost = the_distance
-                        first_ocr2 = d_first
-                        best_split_point = split_point
-                if first_ocr2 < cfg.min_match2 and best_split_point is not None:
-                    second = g.shallow_copy()
-                    second.left = best_split_point + gap
-                    second.left_path = None
-                    second.right_path = g.right_path
-                    second.tuple = None
-                    g.right = best_split_point - gap
-                    g.right_path = None
-                    self.narrow_glyph(g)
-                    self.narrow_glyph(second)
-                    g.tuple = None
-                    self._fill_tuple(g)
-                    self._fill_tuple(second)
-                    g.distance = -1.0
-                    second.distance = -1.0
-                    line.glyphs.insert(gi + 1, second)
-                    gi += 1
-                    continue
-                # slanted split sweep
-                split_path = self.build_slanted_path(
-                    g, int(g.left + g.height / cfg.slant + cfg.min_glyph_width)
-                )
-                best_cost = 2 * cfg.min_match
-                best_split_point = None
-                for split_point in range(
-                    int(split_path[0]), g.right - cfg.min_glyph_width
-                ):
-                    _, first_cost = self.evaluate_path_split(g, split_path)
-                    if first_cost < cfg.min_match and first_cost < best_cost:
-                        best_cost = first_cost
-                        best_split_point = split_point
-                    split_path = split_path + 1  # shiftRight
-                if best_cost < cfg.min_match and best_split_point is not None:
-                    split_path = self.build_slanted_path(g, best_split_point)
-                    first, _ = self.evaluate_path_split(g, split_path)
-                    self.finish_path_split(line, gi, first, split_path)
+        gi = 0
+        while gi < len(line.glyphs):
+            g = line.glyphs[gi]
+            if not (
+                g.right - g.left > cfg.splittable * self.glyph_width
+                and self.ocr_distance2(g.tuple) > cfg.good_match2
+            ):
                 gi += 1
+                continue
+            handled = False
+            if not cfg.use_flood:
+                split_path = self.try_path_separation(g)
+                if split_path is not None:
+                    first, cost = self.evaluate_path_split(g, split_path)
+                    # NOTE: the reference compares dist² against the
+                    # UN-squared minMatch here (segment.c:1247)
+                    if cost < cfg.min_match:
+                        self.finish_path_split(line, gi, first, split_path)
+                        gi += 1
+                        handled = True
+            if handled:
+                continue
+            gap = cfg.min_glyph_width // cfg.split_gap
+            best_cost = 2 * cfg.min_match
+            first_ocr2 = 2 * cfg.min_match
+            best_split_point = None
+            for split_point in range(
+                g.left + cfg.min_glyph_width, g.right - cfg.min_glyph_width
+            ):
+                first = g.shallow_copy()
+                first.left_path = copy_path(g.left_path, first.height)
+                first.right_path = None
+                first.right = split_point - gap
+                second = g.shallow_copy()
+                second.left = split_point + gap
+                second.left_path = copy_path(g.left_path, second.height)
+                second.right_path = copy_path(g.right_path, second.height)
+                self.narrow_glyph(first)
+                self.narrow_glyph(second)
+                first.tuple = None
+                second.tuple = None
+                self._fill_tuple(first)
+                self._fill_tuple(second)
+                d_first = self.ocr_distance2(first.tuple)
+                the_distance = d_first + self.ocr_distance2(second.tuple)
+                if the_distance <= best_cost:
+                    best_cost = the_distance
+                    first_ocr2 = d_first
+                    best_split_point = split_point
+            if first_ocr2 < cfg.min_match2 and best_split_point is not None:
+                second = g.shallow_copy()
+                second.left = best_split_point + gap
+                second.left_path = None
+                second.right_path = g.right_path
+                second.tuple = None
+                g.right = best_split_point - gap
+                g.right_path = None
+                self.narrow_glyph(g)
+                self.narrow_glyph(second)
+                g.tuple = None
+                self._fill_tuple(g)
+                self._fill_tuple(second)
+                g.distance = -1.0
+                second.distance = -1.0
+                line.glyphs.insert(gi + 1, second)
+                gi += 1
+                continue
+            # slanted split sweep
+            split_path = self.build_slanted_path(
+                g, int(g.left + g.height / cfg.slant + cfg.min_glyph_width)
+            )
+            best_cost = 2 * cfg.min_match
+            best_split_point = None
+            for split_point in range(
+                int(split_path[0]), g.right - cfg.min_glyph_width
+            ):
+                _, first_cost = self.evaluate_path_split(g, split_path)
+                if first_cost < cfg.min_match and first_cost < best_cost:
+                    best_cost = first_cost
+                    best_split_point = split_point
+                split_path = split_path + 1  # shiftRight
+            if best_cost < cfg.min_match and best_split_point is not None:
+                split_path = self.build_slanted_path(g, best_split_point)
+                first, _ = self.evaluate_path_split(g, split_path)
+                self.finish_path_split(line, gi, first, split_path)
+            gi += 1
 
     # ---------------- narrow-glyph combining --------------------------------
     def narrow_glyphs(self) -> None:
-        """narrowGlyphs (segment.c:1414-1476)."""
+        """narrowGlyphs (segment.c:1414-1476).  A table line without two
+        neighbours at most ``min_glyph_width`` apart of which one is
+        farther than ``good_match2`` from the font (by classify's dist²)
+        is left as it is."""
+        t = self._table
+        if t is not None and t.dist2 is not None:
+            cand = self._narrow_candidates()
+            if cand.any():
+                self._materialize_lines(t.line_of(np.flatnonzero(cand)))
+        else:  # no dist² to test on: every line as objects
+            self._materialize_all()
+        for line in self._lines:
+            if type(line) is not int:
+                self._narrow_line(line)
+
+    def _narrow_candidates(self) -> np.ndarray:
+        """Per table row r but the last: whether narrowGlyphs would try to
+        combine r with r + 1, on their gap and classify's dist² (never
+        across the end of a line)."""
+        cfg, t = self.cfg, self._table
+        weak = t.dist2.astype(np.float64) > cfg.good_match2
+        gap = t.box[1:, 0] - t.box[:-1, 1]
+        cand = (gap <= cfg.min_glyph_width) & (weak[:-1] | weak[1:])
+        cand[t.start[1:-1] - 1] = False  # the last glyph of a line
+        return cand
+
+    def _narrow_line(self, line: Line) -> None:
+        """The body of narrowGlyphs for one line."""
         cfg = self.cfg
-        for line in self.lines:
-            gi = 0
-            while gi < len(line.glyphs) - 1:
-                g = line.glyphs[gi]
-                nxt = line.glyphs[gi + 1]
-                if nxt.left - g.right > cfg.min_glyph_width:
-                    gi += 1
-                    continue
-                my2 = self.ocr_distance2(g.tuple)
-                next2 = self.ocr_distance2(nxt.tuple)
-                if my2 > cfg.good_match2 or next2 > cfg.good_match2:
-                    combined = self.combine_glyphs(g, nxt)
-                    comb2 = self.ocr_distance2(combined.tuple)
-                    if comb2 < cfg.good_match2:
-                        line.glyphs[gi] = combined
-                        del line.glyphs[gi + 1]
-                    elif (
-                        gi + 2 < len(line.glyphs)
-                        and line.glyphs[gi + 2].left - nxt.right < cfg.min_glyph_width
-                    ):
-                        nn2 = self.ocr_distance2(line.glyphs[gi + 2].tuple)
-                        if nn2 > cfg.good_match2:
-                            ccombined = self.combine_glyphs(
-                                combined, line.glyphs[gi + 2]
-                            )
-                            cc2 = self.ocr_distance2(ccombined.tuple)
-                            if cc2 < cfg.good_match2:
-                                line.glyphs[gi] = ccombined
-                                del line.glyphs[gi + 1 : gi + 3]
+        gi = 0
+        while gi < len(line.glyphs) - 1:
+            g = line.glyphs[gi]
+            nxt = line.glyphs[gi + 1]
+            if nxt.left - g.right > cfg.min_glyph_width:
                 gi += 1
+                continue
+            my2 = self.ocr_distance2(g.tuple)
+            next2 = self.ocr_distance2(nxt.tuple)
+            if my2 > cfg.good_match2 or next2 > cfg.good_match2:
+                combined = self.combine_glyphs(g, nxt)
+                comb2 = self.ocr_distance2(combined.tuple)
+                if comb2 < cfg.good_match2:
+                    line.glyphs[gi] = combined
+                    del line.glyphs[gi + 1]
+                elif (
+                    gi + 2 < len(line.glyphs)
+                    and line.glyphs[gi + 2].left - nxt.right < cfg.min_glyph_width
+                ):
+                    nn2 = self.ocr_distance2(line.glyphs[gi + 2].tuple)
+                    if nn2 > cfg.good_match2:
+                        ccombined = self.combine_glyphs(
+                            combined, line.glyphs[gi + 2]
+                        )
+                        cc2 = self.ocr_distance2(ccombined.tuple)
+                        if cc2 < cfg.good_match2:
+                            line.glyphs[gi] = ccombined
+                            del line.glyphs[gi + 1 : gi + 3]
+            gi += 1
 
     # ---------------- orchestration ----------------------------------------
     def find_lines(self, column: int) -> bool:
-        """findLines (segment.c:920-1058)."""
+        """findLines (segment.c:920-1058).  Table lines that no test
+        picks (see ``find_cells``) count their glyphs and widths from the
+        table and never become objects."""
         cfg = self.cfg
         self.left_margin = INFTY
         self.right_margin = 0
@@ -1154,54 +1353,32 @@ class PageSegmenter:
         else:
             self.find_cells(0, self.h - 1, self.left_border, self.right_border)
 
+        lines = self._lines  # edited in place below
         num_glyphs = 0
         line_number = 0
         total_width = 0
         total_height = 0
         i = 0
-        while i < len(self.lines):
+        while i < len(lines):
             j = i
-            while j + 1 < len(self.lines) and self.overlap_vertical(
-                self.lines[j], self.lines[j + 1]
-            ):
+            while j + 1 < len(lines) and self._overlaps_next(j):
+                self._materialize(j)
+                self._materialize(j + 1)
                 j = self.combine_lines(j)
-            line = self.lines[i]
-            line_height = line.height
+            top, bottom = self._bounds(i)
+            line_height = bottom - top
             total_height += line_height
-            changed = True
-            while changed:
-                changed = False
-                gi = 0
-                while gi < len(line.glyphs):
-                    g = line.glyphs[gi]
-                    g.line_height = line_height
-                    while gi + 1 < len(line.glyphs) and self.overlap_horizontal(
-                        g, line.glyphs[gi + 1]
-                    ):
-                        nxt = line.glyphs[gi + 1]
-                        if nxt.right - g.left > cfg.max_glyph_width:
-                            break
-                        new_glyph = self.combine_glyphs(g, nxt)
-                        if new_glyph.height > cfg.max_glyph_height:
-                            break
-                        self.calculate_distance(g)
-                        self.calculate_distance(nxt)
-                        if not cfg.always_combine and new_glyph.distance > max(
-                            g.distance, nxt.distance
-                        ):
-                            break
-                        line.glyphs[gi] = new_glyph
-                        del line.glyphs[gi + 1]
-                        g = new_glyph
-                        changed = True
-                    # NOTE: faithfully reproduces the reference's recount of
-                    # the whole line on every pass of the while(changed)
-                    # loop (segment.c:988-1030) — numGlyphs/totalWidth are
-                    # overcounted on lines where a combine happened, which
-                    # feeds the glyphWidth average used for spacing.
-                    num_glyphs += 1
-                    total_width += g.right - g.left
-                    gi += 1
+            row = self._table.lines[lines[i]] if type(lines[i]) is int \
+                else None
+            if row is not None and not row[_BoxTable.FLAGS] & XF_COMBINES:
+                # no neighbours overlap: one counting pass, no combine
+                num_glyphs += row[_BoxTable.COUNT]
+                total_width += row[_BoxTable.WIDTH]
+            else:
+                n, width = self._combine_in_line(self._materialize(i),
+                                                 line_height)
+                num_glyphs += n
+                total_width += width
             line_number += 1
             i += 1
 
@@ -1209,17 +1386,68 @@ class PageSegmenter:
         if line_number:
             avg_height = total_height / line_number
             i = 0
-            while i < len(self.lines):
-                if self.lines[i].height > 1.5 * avg_height:
+            while i < len(lines):
+                top, bottom = self._bounds(i)
+                if bottom - top > 1.5 * avg_height:
+                    self._materialize(i)
                     self.split_line(i)
-                line_height = self.lines[i].height
-                for g in self.lines[i].glyphs:
-                    g.line_height = line_height
+                if type(lines[i]) is not int:
+                    line_height = lines[i].height
+                    for g in lines[i].glyphs:
+                        g.line_height = line_height
                 i += 1
+        t = self._table
+        if t is not None:  # a table line's glyphs take its height
+            heights = [ln[1] - ln[0] for ln in t.lines]
+            t.line_height = np.repeat(np.array(heights, dtype=np.int64),
+                                      np.diff(t.start))
         if num_glyphs == 0:
             return False
         self.glyph_width = total_width // num_glyphs
         return True
+
+    def _combine_in_line(self, line: Line, line_height: int) -> tuple[int, int]:
+        """findLines' horizontal combine of one line (segment.c:985-1030);
+        returns the glyph count and width it adds to the page's glyph
+        width average."""
+        cfg = self.cfg
+        num_glyphs = 0
+        total_width = 0
+        changed = True
+        while changed:
+            changed = False
+            gi = 0
+            while gi < len(line.glyphs):
+                g = line.glyphs[gi]
+                g.line_height = line_height
+                while gi + 1 < len(line.glyphs) and self.overlap_horizontal(
+                    g, line.glyphs[gi + 1]
+                ):
+                    nxt = line.glyphs[gi + 1]
+                    if nxt.right - g.left > cfg.max_glyph_width:
+                        break
+                    new_glyph = self.combine_glyphs(g, nxt)
+                    if new_glyph.height > cfg.max_glyph_height:
+                        break
+                    self.calculate_distance(g)
+                    self.calculate_distance(nxt)
+                    if not cfg.always_combine and new_glyph.distance > max(
+                        g.distance, nxt.distance
+                    ):
+                        break
+                    line.glyphs[gi] = new_glyph
+                    del line.glyphs[gi + 1]
+                    g = new_glyph
+                    changed = True
+                # NOTE: faithfully reproduces the reference's recount of
+                # the whole line on every pass of the while(changed)
+                # loop (segment.c:988-1030) — numGlyphs/totalWidth are
+                # overcounted on lines where a combine happened, which
+                # feeds the glyphWidth average used for spacing.
+                num_glyphs += 1
+                total_width += g.right - g.left
+                gi += 1
+        return num_glyphs, total_width
 
     def build_tuples(self) -> None:
         """buildTuples (main/categorize.c:158-168): fresh tuples for all.
@@ -1227,11 +1455,21 @@ class PageSegmenter:
         Path-free glyphs (the overwhelming majority) are featurized in one
         call over the page prefix sum, by the native ``glyph_tuples``
         kernel or, without the kernels, by its reference
-        ``features.fill_tuples_py`` (see ``features.fill_tuples``);
-        glyphs carrying cut paths use the scalar path-aware
+        ``features.fill_tuples_py`` (see ``features.fill_tuples``): the
+        whole box table in one call, line objects' glyphs in another.
+        Glyphs carrying cut paths use the scalar path-aware
         ``fill_tuple``.  Same arithmetic."""
+        t = self._table
+        if t is not None:
+            lh = t.line_height
+            if lh is None:  # before find_lines: no line heights yet
+                lh = np.zeros(len(t.box), dtype=np.int64)
+            t.tuples = fill_tuples(self._prefix(), t.box, lh,
+                                   self.glyph_height)
         plain: list[Glyph] = []
-        for line in self.lines:
+        for line in self._lines:
+            if type(line) is int:
+                continue
             for g in line.glyphs:
                 g.tuple = None
                 if g.left_path is None and g.right_path is None and (
@@ -1249,3 +1487,92 @@ class PageSegmenter:
             tups = fill_tuples(self._prefix(), boxes, lh, self.glyph_height)
             for g, tup in zip(plain, tups):
                 g.tuple = tup
+
+    def classify(self) -> None:
+        """ocrValue (main/kd.c:210-251) of every glyph of the column in
+        one batched kNN call, after ``build_tuples``.  The box table keeps
+        each row's dist² and label; a line object's glyph keeps them under
+        its tuple, which ``ocr_distance2`` and ``glyph_table`` read, so
+        only a glyph whose tuple a later step replaces is probed again.
+        A table row whose tuple is not finite (never seen: table boxes are
+        not empty) sends every line to the object code, which tests
+        finiteness glyph by glyph as the reference does."""
+        t = self._table
+        if t is not None and not np.isfinite(t.tuples).all():
+            self._materialize_all()
+            self._table = t = None
+        objs = [g for line in self._lines if type(line) is not int
+                for g in line.glyphs]
+        parts = [] if t is None else [t.tuples]
+        parts += [g.tuple if g.tuple is not None else _ZERO_TUPLE
+                  for g in objs]
+        if not parts:
+            return
+        if len(parts) == 1 and t is not None:
+            fmat = t.tuples  # finite, checked above
+        else:
+            fmat = _screened(np.vstack(parts))
+        values, d2 = self.index.ocr_values(
+            fmat, self.cfg.min_match, self.cfg.ignore_vertical)
+        n = 0
+        if t is not None:
+            n = len(t.box)
+            t.dist2, t.labels = d2[:n], values[:n]
+        for g, k in zip(objs, range(n, len(values))):
+            if g.tuple is not None:
+                self._knn[id(g.tuple)] = (g.tuple, d2[k], values[k])
+
+    def glyph_table(self) -> GlyphTable:
+        """The column's glyphs in reading order, after ``classify`` and
+        whatever split or narrowing followed: boxes, tuples, labels and
+        dist².  Glyphs ``classify`` did not see (created or changed since)
+        are classified here, in one batched call."""
+        t = self._table
+        if t is not None and t.labels is None:
+            self._materialize_all()  # not classified: probe every glyph
+        elif t is not None and all(type(e) is int for e in self._lines):
+            lines = [tuple(ln[:5]) for ln in t.lines]
+            return GlyphTable(t.box, t.tuples, t.tuples, t.labels, t.dist2,
+                              lines)  # type: ignore[arg-type]
+        boxes: list = []
+        tuples: list = []
+        labels: list = []
+        dist2: list = []
+        lines = []
+        probe: list[int] = []
+        for entry in self._lines:
+            if type(entry) is int:
+                lo, hi = int(t.start[entry]), int(t.start[entry + 1])
+                lines.append(tuple(t.lines[entry][:5]))
+                boxes += t.box[lo:hi].tolist()
+                tuples += list(t.tuples[lo:hi])
+                labels += t.labels[lo:hi]
+                dist2 += t.dist2[lo:hi].tolist()
+                continue
+            lines.append((entry.top, entry.bottom, entry.left_border,
+                          entry.right_border, len(entry.glyphs)))
+            for g in entry.glyphs:
+                boxes.append((g.left, g.right, g.top, g.bottom))
+                tup = g.tuple if g.tuple is not None else _ZERO_TUPLE
+                tuples.append(tup)
+                hit = self._knn.get(id(g.tuple))
+                if hit is not None and hit[0] is g.tuple:
+                    labels.append(hit[2])
+                    dist2.append(float(hit[1]))
+                else:
+                    probe.append(len(labels))
+                    labels.append("")
+                    dist2.append(0.0)
+        n = len(boxes)
+        tup_mat = (np.stack(tuples) if n else
+                   np.empty((0, TUPLELENGTH), dtype=np.float32))
+        fmat = _screened(tup_mat)
+        if probe:
+            values, d2 = self.index.ocr_values(
+                fmat[probe], self.cfg.min_match, self.cfg.ignore_vertical)
+            for k, v, d in zip(probe, values, d2.tolist()):
+                labels[k] = v
+                dist2[k] = d
+        return GlyphTable(
+            np.array(boxes, dtype=np.int64).reshape(n, 4), tup_mat, fmat,
+            labels, np.array(dist2, dtype=np.float32), lines)

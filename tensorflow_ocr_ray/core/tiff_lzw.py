@@ -79,7 +79,9 @@ def lzw_decode(data: bytes, max_out: int | None = None,
     """Decode up to the entry that reaches ``max_out`` bytes (all of the
     stream when ``None``).  Runs the native kernel (``core/native``) when
     it is available and ``lzw_decode_py`` otherwise; both give the same
-    bytes and raise the same ``ValueError`` on a bad code."""
+    bytes and raise the same ``ValueError`` on a bad code.  The kernel
+    copies each code's string out of its own output instead of walking
+    the string's prefix chain byte by byte."""
     kernels = native.load()
     if kernels is None:
         return lzw_decode_py(data, max_out, early)

@@ -24,6 +24,8 @@ import struct
 
 import numpy as np
 
+from tensorflow_ocr_ray.core.gif import MAX_PIXELS
+
 BI_RGB = 0
 BI_RLE8 = 1
 FOURCC_MJPG = 0x47504A4D  # struct.unpack("<I", b"MJPG")
@@ -63,20 +65,34 @@ def _gray_from_bgr(b, g, r):
     ).astype(np.uint8)
 
 
+def _check_dib_size(kind: str, w: int, h: int) -> None:
+    """Refuse a DIB header whose pixel count no frame may have, before
+    anything is allocated from it: every decoder below sizes its output
+    from these two fields."""
+    if w <= 0 or h == 0:
+        raise ValueError(f"{kind} degenerate dimensions {w}x{h}")
+    if w * abs(h) > MAX_PIXELS:
+        raise ValueError(f"{kind} {w}x{abs(h)} exceeds pixel cap")
+
+
 def _decode_dib_frame(
     data: bytes, w: int, h: int, bpp: int, palette_gray: np.ndarray | None
 ) -> np.ndarray:
     """One BI_RGB frame → (h, w) uint8 grayscale; DIB rows are stored
-    bottom-up with 4-byte-aligned stride."""
+    bottom-up with 4-byte-aligned stride, and a frame shorter than its
+    rows raises ``ValueError``."""
+    if bpp in (8, 24, 32):
+        stride = (w * (bpp // 8) + 3) & ~3
+        if stride * h > len(data):
+            raise ValueError(f"DIB frame of {len(data)} bytes is short of "
+                             f"{h} rows of {stride}")
     if bpp == 8:
-        stride = (w + 3) & ~3
         rows = np.frombuffer(data[: stride * h], dtype=np.uint8).reshape(
             h, stride
         )[:, :w]
         img = palette_gray[rows] if palette_gray is not None else rows
     elif bpp in (24, 32):
         nb = bpp // 8
-        stride = (w * nb + 3) & ~3
         rows = np.frombuffer(data[: stride * h], dtype=np.uint8).reshape(
             h, stride
         )[:, : w * nb].reshape(h, w, nb)
@@ -143,6 +159,7 @@ def decode_avi(payload: bytes) -> list[np.ndarray]:
             (bi_size, bw, bh, _pl, bc, comp) = struct.unpack(
                 "<IiiHHI", payload[body_pos:body_pos + 20]
             )
+            _check_dib_size("AVI frame", bw, bh)
             w, h, bpp, compression = bw, abs(bh), bc, comp
             if bc == 8:
                 pal = np.frombuffer(
@@ -207,8 +224,7 @@ def decode_bmp(payload: bytes) -> np.ndarray:
     (bi_size, w, h, _planes, bpp, comp, _size_image) = struct.unpack(
         "<IiiHHII", payload[14:38]
     )
-    if w <= 0 or h == 0:
-        raise ValueError(f"BMP degenerate dimensions {w}x{h}")
+    _check_dib_size("BMP", w, h)
     topdown = h < 0
     ah = abs(h)
     palette_gray = None

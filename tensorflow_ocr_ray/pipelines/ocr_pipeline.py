@@ -21,8 +21,12 @@ One physical plan, one task per block:
    spans)`` rows.  Explode, strip and reassembly run once per block;
    only the scorer runs per slice, which bounds its working set.
 
-There is no shuffle and no barrier: a document leaves as soon as its
-block is scored.  Ray's own per-batch cost (~0.8 ms per 16-document
+Without ``num_blocks`` there is no shuffle and no barrier: a document
+leaves as soon as its block is scored.  With ``num_blocks`` set, Ray
+plans the repartition as an all-to-all ``Repartition`` operator, which
+holds every input block until the last one is read: nothing is scored
+before the whole input has been read and split (ROADMAP "Measured").
+Ray's own per-batch cost (~0.8 ms per 16-document
 batch at one core) and the steps' per-call Arrow overhead are paid
 once per block instead of once per ``batch_size`` documents
 (BUILD_NOTES "One physical plan").  The alternatives were measured and

@@ -257,3 +257,33 @@ def test_image_stage_accepts_jpeg_payload(ray_session):
     assert out.column("width").to_pylist() == [16]
     ink = out.column("ink_ratio").to_pylist()[0]
     assert abs(ink - (4 * 8) / 256) < 0.02  # JPEG edges may blur 1px
+
+
+def _fixture_jpegs() -> list[bytes]:
+    """The 8 JPEGs of the ``media_jpeg_ink`` query: even doc_ids
+    baseline, odd ones progressive."""
+    import pandas as pd
+
+    import __ray_entry__
+
+    return __ray_entry__._jpeg_payloads(
+        pd.DataFrame({"doc_id": list(range(8))})).column("image").to_pylist()
+
+
+@pytest.mark.parametrize("doc", range(8))
+def test_truncated_jpeg_raises_valueerror(doc):
+    """Every prefix of a fixture JPEG raises ``ValueError``, except that a
+    baseline stream without its EOI (the last one or two bytes) still
+    decodes, to the whole stream's pixels."""
+    payload = _fixture_jpegs()[doc]
+    full = decode_jpeg_gray(payload)
+    decoded = []
+    for n in range(len(payload)):
+        try:
+            img = decode_jpeg_gray(payload[:n])
+        except ValueError:
+            continue
+        assert np.array_equal(img, full), n
+        decoded.append(n)
+    want = [len(payload) - 2, len(payload) - 1] if doc % 2 == 0 else []
+    assert decoded == want

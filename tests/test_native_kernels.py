@@ -8,7 +8,9 @@ the table without a Clear), truncated streams and bit-flipped streams.
 The page loop (``find_cells`` and the tuples of ``build_tuples``) is
 compared with ``find_cells_py`` and ``features.fill_tuples_py`` on
 random bitmaps, generated glyph pages and fixture pages: the same lines,
-glyph boxes and order, page stats and tuple bits, or the same abort.
+glyph boxes and order, page stats and tuple bits, or the same abort.  The
+box table's candidate tests (``xy_cut``'s flags and width sums, the split
+and narrow tests) are compared with the scalar tests they stand for.
 The html strip is compared with ``extract_main_content_py`` on generated
 tag soup under both gates.  ``test_no_compiler_falls_back_to_python``
 hides the compiler, or makes the build fail, and checks that the public
@@ -419,6 +421,80 @@ def test_page_loop_native_matches_python_on_pages(case):
         assert trace[0][1][1][4] == 2500  # glyph count
 
 
+def _table_objects(t: segment._BoxTable) -> list:
+    """Fresh Line and Glyph objects of every line of a box table."""
+    lines = []
+    for k, (top, bottom, left, right, count, _, _) in enumerate(t.lines):
+        line = segment.Line()
+        line.top, line.bottom = top, bottom
+        line.left_border, line.right_border = left, right
+        line.glyphs = [segment.Glyph(*box) for box in
+                       t.box[t.start[k]:t.start[k + 1]].tolist()]
+        assert len(line.glyphs) == count
+        lines.append(line)
+    return lines
+
+
+_TABLE_CONFIGS = st.builds(
+    lambda base, combine, split, good: base.with_(
+        may_combine=combine, splittable=split, good_match=good),
+    _CONFIGS, st.booleans(), st.sampled_from([0.5, 1.1, 2.0]),
+    st.sampled_from([0.05, 0.4, 1.0]),
+)
+
+
+@needs_kernels
+@settings(max_examples=150, deadline=None)
+@given(page=_pages(), cfg=_TABLE_CONFIGS)
+def test_box_table_candidates_match_scalar_tests(page, cfg):
+    """The box table's candidate tests against the scalar tests they
+    stand for, on objects built from the same table: xy_cut's flags
+    against ``overlap_vertical`` and ``overlap_horizontal`` and its width
+    sums against the glyphs; after find_lines, build_tuples and classify,
+    the split test (width and a one-row probe's dist²) and the narrow
+    test (gap and one-row probes) row by row."""
+    seg = segment.PageSegmenter(page, cfg, get_font_index())
+    seg.compute_borders(0)
+    try:
+        seg.find_cells(0, seg.h - 1, seg.left_border, seg.right_border)
+    except RuntimeError:
+        return  # too tall: the reference aborts; no table to test
+    t = seg._table
+    if t is None:
+        return
+    lines = _table_objects(t)
+    for k, (line, row) in enumerate(zip(lines, t.lines)):
+        flags = row[6]
+        nxt = lines[k + 1] if k + 1 < len(lines) else None
+        assert bool(flags & native.XF_OVERLAPS_NEXT) == \
+            seg.overlap_vertical(line, nxt)
+        assert bool(flags & native.XF_COMBINES) == any(
+            seg.overlap_horizontal(a, b)
+            for a, b in zip(line.glyphs, line.glyphs[1:]))
+        assert row[5] == sum(g.right - g.left for g in line.glyphs)
+
+    seg = segment.PageSegmenter(page, cfg, get_font_index())
+    if not seg.find_lines(0):
+        return
+    seg.build_tuples()
+    seg.classify()
+    t = seg._table
+    if t is None:
+        return
+    index, iv = seg.index, cfg.ignore_vertical
+    d2 = [float(index.ocr_distance2(tup[None, :], iv)[0]) for tup in t.tuples]
+    widths = (t.box[:, 1] - t.box[:, 0]).tolist()
+    want = [w > cfg.splittable * seg.glyph_width and d > cfg.good_match2
+            for w, d in zip(widths, d2)]
+    assert seg._split_candidates().tolist() == want
+    ends = set((t.start[1:] - 1).tolist())
+    want = [r not in ends
+            and not (t.box[r + 1, 0] - t.box[r, 1] > cfg.min_glyph_width)
+            and (d2[r] > cfg.good_match2 or d2[r + 1] > cfg.good_match2)
+            for r in range(len(d2) - 1)]
+    assert seg._narrow_candidates().tolist() == want
+
+
 @needs_kernels
 @settings(max_examples=300, deadline=None)
 @given(
@@ -636,6 +712,7 @@ _UBSAN_RUNS = [
     ("test_page_loop_native_matches_python", [()]),
     ("test_page_loop_native_matches_python_on_pages",
      [(case,) for case in _PAGE_CASES]),
+    ("test_box_table_candidates_match_scalar_tests", [()]),
     ("test_glyph_tuples_native_bits_match_python", [()]),
     ("test_glyph_tuples_round_ties_to_even", [()]),
     ("test_html_native_matches_python", [()]),

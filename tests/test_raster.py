@@ -283,3 +283,25 @@ def test_tiff_directory_missing_required_tag_raises(missing):
             struct.pack_into("<H", payload, e, 65000)  # a private tag
     with pytest.raises(ValueError, match="StripOffsets"):
         decode_payload_pages(bytes(payload))
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int16, np.int32,
+                                   np.int64])
+def test_binarize_integer_pixels_is_the_summed_rgb_rule(dtype):
+    """``img <= cutoff_total // 3`` on integer pixels is the reference's
+    ``3 * img <= lround(3 * 256 * cutoff)`` (readPicture.c), for every
+    pixel value and cutoffs that put the threshold below, inside and
+    above the pixel range."""
+    from tensorflow_ocr_ray.core.raster import _binarize_page
+
+    info = np.iinfo(dtype)
+    lo, hi = max(int(info.min), -70000), min(int(info.max), 70000)
+    img = np.arange(lo, hi + 1, dtype=np.int64)
+    img = np.concatenate([img, [info.min, info.max]]).astype(dtype)
+    for cutoff in (-1.0, -0.001, 0.0, 0.001, 0.3, 0.5, 0.5013, 0.75, 1.0,
+                   1.5, 100.0):
+        total = int(np.floor(3 * 256 * cutoff + 0.5))
+        want = (3 * img.astype(object) <= total).astype(np.uint8)
+        got = _binarize_page(img.reshape(1, -1), 8, cutoff)
+        assert got.dtype == np.uint8 and got.shape == (1, len(img))
+        assert np.array_equal(got[0], want), (dtype, cutoff)

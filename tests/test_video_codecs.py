@@ -213,3 +213,46 @@ def test_decode_bmp_rejects_garbage():
 
     with pytest.raises(ValueError):
         decode_bmp(b"NOTABMP" + b"\x00" * 60)
+
+
+def _traced_peak_of_refusal(decode, payload) -> int:
+    """Peak traced bytes of ``decode(payload)``, which must raise
+    ``ValueError``."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            decode(payload)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dib_headers_are_capped_before_allocation():
+    """The 108-byte RLE8 BMP of the fixture set with bit 29 of its width
+    flipped claims 536,870,920 x 11 pixels (it used to allocate ~12 GB);
+    every BMP variant and an AVI strf with that width, and a BI_RGB frame
+    shorter than its rows, raise ``ValueError`` under a 16 MiB peak."""
+    import pandas as pd
+
+    import __ray_entry__ as e
+    from tensorflow_ocr_ray.core.video_codecs import decode_bmp
+
+    t = e._bmp_payloads(pd.DataFrame({"doc_id": [0, 1, 2, 3]}))
+    payloads = t.column("image").to_pylist()
+    assert len(payloads[3]) == 108
+    for p in payloads:
+        flipped = bytearray(p)
+        flipped[21] ^= 0x20  # bit 29 of biWidth (little-endian, offset 18)
+        assert struct.unpack_from("<i", flipped, 18)[0] == 536_870_920
+        assert _traced_peak_of_refusal(decode_bmp, bytes(flipped)) < 16 << 20
+        short = bytearray(p[:-20])  # BI_RGB rows cut short
+        if struct.unpack_from("<I", p, 30)[0] == 0:
+            assert _traced_peak_of_refusal(decode_bmp, bytes(short)) < 16 << 20
+    for bpp, comp in ((24, 0), (8, 1)):
+        avi = _avi(536_870_920, 11, bpp, comp, [bytes(64)])
+        assert _traced_peak_of_refusal(decode_avi, avi) < 16 << 20
+    with pytest.raises(ValueError, match="short of 4 rows of 12"):
+        decode_avi(_avi(4, 4, 24, 0, [bytes(47)]))
+    assert decode_avi(_avi(4, 4, 24, 0, [bytes(48)]))[0].shape == (4, 4)
