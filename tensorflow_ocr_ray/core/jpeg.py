@@ -92,7 +92,7 @@ class _BitReader:
             elif 0xD0 <= nxt <= 0xD7:  # restart marker: caller resyncs
                 raise _RestartMarker(nxt - 0xD0)
             else:
-                raise EOFError("marker inside entropy data")
+                raise ValueError("JPEG marker inside entropy data")
         else:
             self.pos += 1
         self.bitbuf = (self.bitbuf << 8) | b

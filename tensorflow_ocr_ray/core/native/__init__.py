@@ -13,7 +13,9 @@ that produces the same output:
   ``overlap_vertical`` and ``overlap_horizontal``;
 - ``glyph_tuples`` (the feature tuples of path-free glyphs):
   ``features.fill_tuples_py``;
-- ``html_blocks``: ``html_extract.extract_main_content_py``.
+- ``html_blocks`` (the block scan of one span) and ``html_strip`` (the
+  whole strip of an Arrow string array, with ``html_blocks`` as its
+  scan): ``html_extract.extract_main_content_py``.
 
 ``load()`` returns the kernels, or ``None`` when they cannot be had, in
 which case callers run the references.
@@ -35,12 +37,15 @@ import ctypes
 import functools
 import hashlib
 import itertools
+import math
 import os
 import platform
 import shutil
 from pathlib import Path
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 _SOURCE = Path(__file__).with_name("kernels.c")
 # the tuple kernel needs strict IEEE arithmetic: no -ffast-math, no FMA
@@ -135,6 +140,9 @@ class Kernels:
         lib.glyph_tuples.restype = _I64
         lib.html_blocks.argtypes = [ctypes.c_char_p, _I64, _P, _P, _P, _I64]
         lib.html_blocks.restype = _I64
+        lib.html_strip.argtypes = [_P, _P, _P, _I64, _I64, ctypes.c_double,
+                                   _P, _P, _I64, _P, _P, _P]
+        lib.html_strip.restype = _I64
         self._lib = lib
         # free list of _html_scratch(_HTML_SCRATCH_CAP); a caller pops
         # one, so threads never share scratch
@@ -302,6 +310,44 @@ class Kernels:
         if pooled:
             self._html_scratch.append(scratch)
         return texts, counts
+
+    def html_strip(self, texts: pa.StringArray, min_len: int,
+                   max_link_density: float) -> tuple[pa.StringArray,
+                                                      np.ndarray]:
+        """``html_extract.extract_main_content`` of every string of
+        ``texts`` in one call, nulls kept null.  Returns the stripped
+        array and a bool array of the spans the kernel left as "": those
+        with a NUL or a non-ASCII byte, or whose kept blocks need
+        ``html.unescape``; the caller strips them per span.  Scratch is
+        allocated per call, so threads share nothing."""
+        n = len(texts)
+        if n == 0:
+            return pa.array([], pa.string()), np.zeros(0, np.bool_)
+        _, offsets_buf, data_buf = texts.buffers()
+        offsets = np.frombuffer(offsets_buf, np.int32, n + 1,
+                                4 * texts.offset)
+        total = int(offsets[-1] - offsets[0])
+        longest = int(np.diff(offsets).max())
+        valid = pc.is_valid(texts).buffers()[1] if texts.null_count else None
+        nlinks = longest // 4 + 2
+        # links | work: one block, as in _html_scratch
+        links = np.empty(nlinks + (longest + 7) // 8, np.int64)
+        out_offsets = np.empty(n + 1, np.int32)
+        out = pa.allocate_buffer(total + 1, resizable=True)
+        fallback = np.empty(n, np.bool_)
+        w = self._lib.html_strip(
+            offsets.ctypes.data, data_buf.address if data_buf else None,
+            valid.address if valid else None, n, math.ceil(min_len),
+            float(max_link_density), links.ctypes.data + 8 * nlinks,
+            links.ctypes.data, nlinks, out_offsets.ctypes.data,
+            out.address, fallback.ctypes.data,
+        )
+        if w < 0:  # unreachable: links holds longest // 4 + 2 blocks
+            raise RuntimeError("html_strip: block buffer overflow")
+        out.resize(w, shrink_to_fit=True)
+        stripped = pa.StringArray.from_buffers(
+            n, pa.py_buffer(out_offsets), out, valid, texts.null_count)
+        return stripped, fallback
 
 
 def _check_prefix(prefix: np.ndarray) -> tuple[int, int]:

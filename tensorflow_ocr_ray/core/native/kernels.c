@@ -1076,3 +1076,89 @@ int64_t html_blocks(const uint8_t *src, int64_t n, uint8_t *work,
         return -1;
     return w;
 }
+
+/* Does s[0:n] hold a NUL or a byte past ASCII?  (c - 1) wraps NUL to
+ * 255, so one unsigned compare tests both. */
+static int has_nul_or_non_ascii(const uint8_t *s, int64_t n)
+{
+    int bad = 0;
+    for (int64_t i = 0; i < n; i++)
+        bad |= (uint8_t)(s[i] - 1) >= 0x7f;
+    return bad;
+}
+
+/* The gate and join of html_extract.extract_main_content over the m
+ * bytes of html_blocks' output at s: keeps each block whose length is at
+ * least min_len and whose link density (link characters / length, 1.0
+ * for an empty text) is at most max_link_density, joined with '\n' in
+ * place from s.  Returns the joined length, or -1 when a kept block
+ * holds an '&' (html.unescape could change it). */
+static int64_t gate_and_join(uint8_t *s, int64_t m, const int64_t *links,
+                             int64_t min_len, double max_link_density)
+{
+    int64_t w = 0, r = 0, kept = 0;
+    for (int64_t b = 0; r < m; b++) {
+        const uint8_t *end = memchr(s + r, '\0', (size_t)(m - r));
+        int64_t len = end - (s + r);
+        double density = len ? (double)links[b] / (double)len : 1.0;
+        if (len >= min_len && density <= max_link_density) {
+            if (memchr(s + r, '&', (size_t)len))
+                return -1;
+            /* every block ends in a NUL, so after the first kept block w
+             * stays below r and the '\n' never lands on unread text */
+            if (kept++)
+                s[w++] = '\n';
+            memmove(s + w, s + r, (size_t)len);
+            w += len;
+        }
+        r += len + 1;
+    }
+    return w;
+}
+
+/* html_extract.extract_main_content(span, min_len, max_link_density)
+ * over the n spans of an Arrow string array: span i is
+ * data[offsets[i]:offsets[i + 1]], and null when `valid` is not NULL and
+ * its bit i is clear.  Span i's text goes to out[out_offsets[i]:
+ * out_offsets[i + 1]]; a null or empty span gives "".  fallback[i] is
+ * set, and the span gives "", when html_blocks cannot take the span (a
+ * NUL or a non-ASCII byte) or a kept block holds an '&': the caller
+ * strips those spans itself.
+ *
+ * Scratch: work and links as html_blocks needs them for the longest
+ * span.  out needs offsets[n] - offsets[0] + 1 bytes: a span's blocks
+ * and their NULs fit in its length + 1, and its joined text in its
+ * length.  Returns the bytes written to out, or -1 when a span has more
+ * than max_blocks blocks. */
+int64_t html_strip(const int32_t *offsets, const uint8_t *data,
+                   const uint8_t *valid, int64_t n, int64_t min_len,
+                   double max_link_density, uint8_t *work, int64_t *links,
+                   int64_t max_blocks, int32_t *out_offsets, uint8_t *out,
+                   uint8_t *fallback)
+{
+    int64_t w = 0;
+    out_offsets[0] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        const uint8_t *s = data + offsets[i];
+        int64_t len = (int64_t)offsets[i + 1] - offsets[i];
+        fallback[i] = 0;
+        if (len > 0 && (!valid || (valid[i >> 3] >> (i & 7) & 1))) {
+            if (has_nul_or_non_ascii(s, len)) {
+                fallback[i] = 1;
+            } else {
+                int64_t m = html_blocks(s, len, work, out + w, links,
+                                        max_blocks);
+                if (m < 0)
+                    return -1;
+                int64_t k = gate_and_join(out + w, m, links, min_len,
+                                          max_link_density);
+                if (k < 0)
+                    fallback[i] = 1;
+                else
+                    w += k;
+            }
+        }
+        out_offsets[i + 1] = (int32_t)w;
+    }
+    return w;
+}

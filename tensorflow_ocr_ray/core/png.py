@@ -36,6 +36,9 @@ import numpy as np
 from tensorflow_ocr_ray.core.gif import MAX_PIXELS
 
 _SIG = b"\x89PNG\r\n\x1a\n"
+# the bit depths each color type allows (RFC 2083 §4.1.1); the color
+# types not listed (RGB, gray+alpha, RGBA) allow 8 and 16
+_DEPTHS = {0: (1, 2, 4, 8, 16), 3: (1, 2, 4, 8)}
 
 
 def _paeth(a: int, b: int, c: int) -> int:
@@ -106,6 +109,8 @@ def decode_png_gray(payload: bytes) -> np.ndarray:
         pos += 12 + size  # incl. CRC (not validated — data bugs raise
         # downstream; the engine's media-error policy handles corruption)
         if cid == b"IHDR":
+            if len(body) != 13:
+                raise ValueError(f"PNG IHDR of {len(body)} bytes, not 13")
             w, h, depth, ctype, comp, filt, interlace = struct.unpack(
                 ">IIBBBBB", body
             )
@@ -134,14 +139,18 @@ def decode_png_gray(payload: bytes) -> np.ndarray:
     channels = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}.get(ctype)
     if channels is None:
         raise ValueError(f"unknown PNG color type {ctype}")
-    if ctype in (2, 4, 6) and depth not in (8, 16):
+    if depth not in _DEPTHS.get(ctype, (8, 16)):
         raise ValueError(f"invalid depth {depth} for color type {ctype}")
 
     bits_pp = channels * depth
     bpp = max(1, bits_pp // 8)
     # inflate no further than the scanlines need; the rest is ignored
     need = _scanline_bytes(w, h, bits_pp, interlace)
-    raw = zlib.decompressobj().decompress(bytes(idat), need) if need else b""
+    try:
+        raw = zlib.decompressobj().decompress(bytes(idat), need) \
+            if need else b""
+    except zlib.error as e:
+        raise ValueError(f"PNG IDAT stream corrupt: {e}") from None
 
     if interlace == 0:
         stride = (w * bits_pp + 7) // 8

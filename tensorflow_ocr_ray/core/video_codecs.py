@@ -156,6 +156,9 @@ def decode_avi(payload: bytes) -> list[np.ndarray]:
         if cid == b"strf" and compression is None:
             # BITMAPINFOHEADER: biSize, biWidth, biHeight, planes,
             # bitcount, biCompression, ... palette follows biSize
+            if size < 20:
+                raise ValueError(f"AVI strf chunk of {size} bytes is too "
+                                 "short for a BITMAPINFOHEADER")
             (bi_size, bw, bh, _pl, bc, comp) = struct.unpack(
                 "<IiiHHI", payload[body_pos:body_pos + 20]
             )

@@ -14,12 +14,16 @@ container):
 4. keep blocks with enough text and low link density; entity-unescape
    and whitespace-collapse the survivors.
 
-Steps 1-3 run in the native kernel library (``core/native``,
-``html_blocks``) as one C scan per span when it is built and the span is
-ASCII without NUL bytes; Python then unescapes only the blocks that hold
-an ``&``, applies the gate and joins.  ``extract_main_content_py`` is the
-regex reference: the fallback for every other span, and the oracle of
-the kernel's differential test.
+Steps 1-3 run in the native kernel library (``core/native``) when it is
+built and the span is ASCII without NUL bytes.  A column of spans
+(:func:`main_content_array`) is one ``html_strip`` call over its Arrow
+buffers: the ``html_blocks`` scan, the gate and the join run in C for
+every span, and only the spans the kernel leaves (not ASCII, a NUL, or a
+kept block with an ``&`` to unescape) are stripped one by one.  One
+string (:func:`extract_main_content`) is one ``html_blocks`` scan; Python
+then unescapes only the blocks that hold an ``&``, applies the gate and
+joins.  ``extract_main_content_py`` is the regex reference: the fallback
+for every other span, and the oracle of the kernels' differential tests.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ import html as _html
 import re
 
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from tensorflow_ocr_ray.core import native
 
@@ -98,19 +104,47 @@ def extract_main_content_py(
     return "\n".join(kept)
 
 
+def main_content_array(
+    texts: pa.Array, min_len: int = 25, max_link_density: float = 0.33,
+    per_span=extract_main_content,
+) -> pa.Array:
+    """:func:`extract_main_content` of every string of ``texts``, nulls
+    kept null, in one ``html_strip`` kernel call for a ``pa.string()``
+    array.  The spans the kernel leaves (a NUL or a non-ASCII byte, or a
+    kept block with an ``&``), every span of another string type and
+    every span when the kernels are unavailable go through ``per_span``
+    (called like ``extract_main_content``) one at a time."""
+    kernels = native.load()
+    if kernels is None or texts.type != pa.string():
+        return pa.array(
+            [per_span(t, min_len, max_link_density) if t else t
+             for t in texts.to_pylist()],
+            type=texts.type,
+        )
+    out, redo = kernels.html_strip(texts, min_len, max_link_density)
+    if redo.any():
+        mask = pa.array(redo)
+        out = pc.replace_with_mask(out, mask, pa.array(
+            [per_span(t, min_len, max_link_density)
+             for t in texts.filter(mask).to_pylist()],
+            type=pa.string(),
+        ))
+    return out
+
+
 def main_content_batch(df: pd.DataFrame) -> pd.DataFrame:
     """map_batches stage: ``html`` column → extracted text + block
     telemetry."""
-    texts, blocks = [], []
-    for h in df["html"]:
-        t = extract_main_content(h)
-        texts.append(t)
-        blocks.append(t.count("\n") + 1 if t else 0)
+    texts = main_content_array(pa.array(df["html"], type=pa.string()))
+    blocks = pc.if_else(
+        pc.equal(pc.binary_length(texts), 0), 0,
+        pc.add(pc.count_substring(texts, "\n"), 1),
+    )
     return pd.DataFrame(
         {
             "doc_id": df["doc_id"],
-            "extracted": texts,
-            "n_blocks": pd.array(blocks, dtype="int64"),
+            "extracted": texts.to_pylist(),
+            "n_blocks": pd.array(blocks.to_numpy(), dtype="int64"),
         }
     )
 

@@ -8,8 +8,8 @@ pipeline, :func:`ocr_documents`, extracts everything:
 
 - ``html``  → DOM-block boilerplate strip (:func:`strip_html_spans` over
   ``functions/html_extract``, readability-style link-density
-  heuristics), one call per span whose block scan runs in the native
-  kernel library, once per block right after the explode;
+  heuristics), one native kernel call per block right after the
+  explode;
 - ``media`` → the OCR scorer stage (segmentation → kNN/CNN classify →
   line assembly), the heavy stateful stage (reference recognition path,
   ``main/ocr.c``);
@@ -37,7 +37,10 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from tensorflow_ocr_ray.functions.html_extract import extract_main_content
+from tensorflow_ocr_ray.functions.html_extract import (
+    extract_main_content,
+    main_content_array,
+)
 from tensorflow_ocr_ray.pipelines.ocr_pipeline import ocr_documents
 
 HTML_KIND = "html"
@@ -48,10 +51,13 @@ def strip_html_spans(batch: pa.Table) -> pa.Table:
     replaced by the boilerplate-stripped main content; every other row
     passes through byte-identical.
 
-    The mask is Arrow-vectorized; only the html rows' strings cross into
-    Python, each is stripped by one ``extract_main_content`` call (a C
-    block scan per span, like the OCR decode it sits next to), and the
-    results are written back in place with ``replace_with_mask``."""
+    The mask is Arrow-vectorized, and the html rows' strings are stripped
+    by one ``html_strip`` kernel call over their Arrow buffers (scan,
+    gate and join in C, like the OCR decode it sits next to); no span
+    crosses into Python unless the kernel leaves it (a NUL or a
+    non-ASCII byte, or a kept block with an ``&``), and those go through
+    this module's ``extract_main_content`` one by one.  The results are
+    written back in place with ``replace_with_mask``."""
     is_html = pc.fill_null(
         pc.equal(batch.column("kind"), HTML_KIND), False
     ).combine_chunks()
@@ -61,11 +67,8 @@ def strip_html_spans(batch: pa.Table) -> pa.Table:
     # min_len=1: span-level pages may carry arbitrarily short main
     # content; chrome is dropped structurally (head subtree, link
     # density), not by the length gate
-    stripped = pa.array(
-        [extract_main_content(t, min_len=1) if t else t
-         for t in text.filter(is_html).to_pylist()],
-        type=text.type,
-    )
+    stripped = main_content_array(
+        text.filter(is_html), 1, 0.33, extract_main_content)
     i = batch.schema.get_field_index("text")
     return batch.set_column(
         i, "text", pc.replace_with_mask(text, is_html, stripped)
@@ -291,7 +294,8 @@ def web_curation_pipeline(
 
     1. wrap — deterministic chrome synthesis (the crawl-blob stand-in;
        at 100 TB this stage IS the crawl read);
-    2. strip — ``extract_main_content`` DOM-block heuristics;
+    2. strip — ``main_content_array`` DOM-block heuristics, one kernel
+       call per batch;
     3. gate — the Gopher-style verdict chain over the EXTRACTED text
        (token window → unigram repetition → trigram repetition);
     4. dedup — keep the smallest doc_id per identical extracted text,
@@ -308,10 +312,7 @@ def web_curation_pipeline(
     import pandas as pd
     import ray.data as rd
 
-    from tensorflow_ocr_ray.functions.html_extract import (
-        extract_main_content,
-        wrap_batch,
-    )
+    from tensorflow_ocr_ray.functions.html_extract import wrap_batch
     from tensorflow_ocr_ray.functions.textstats import _md5_prefix_batch
     from tensorflow_ocr_ray.pipelines.curation import gopher_gate_batch
     from tensorflow_ocr_ray.stages.exchange import (
@@ -328,7 +329,8 @@ def web_curation_pipeline(
         )
 
     def strip_and_gate(df: "pd.DataFrame") -> "pd.DataFrame":
-        extracted = [extract_main_content(h) for h in df["html"]]
+        extracted = main_content_array(
+            pa.array(df["html"], type=pa.string())).to_pylist()
         gate = gopher_gate_batch(
             pd.DataFrame({"doc_id": df["doc_id"], "text": extracted})
         )

@@ -287,3 +287,15 @@ def test_truncated_jpeg_raises_valueerror(doc):
         decoded.append(n)
     want = [len(payload) - 2, len(payload) - 1] if doc % 2 == 0 else []
     assert decoded == want
+
+
+def test_marker_inside_entropy_data_raises_valueerror():
+    """An EOI (``FF D9``) right after the SOS header sits where entropy
+    data should be: the bit reader reports it as ``ValueError``, the one
+    error type the media stages handle."""
+    payload = _fixture_jpegs()[0]
+    sos = payload.index(b"\xff\xda")
+    (seg_len,) = struct.unpack(">H", payload[sos + 2:sos + 4])
+    at = sos + 2 + seg_len
+    with pytest.raises(ValueError, match="marker inside entropy data"):
+        decode_jpeg_gray(payload[:at] + b"\xff\xd9" + payload[at:])

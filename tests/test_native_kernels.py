@@ -11,8 +11,10 @@ random bitmaps, generated glyph pages and fixture pages: the same lines,
 glyph boxes and order, page stats and tuple bits, or the same abort.  The
 box table's candidate tests (``xy_cut``'s flags and width sums, the split
 and narrow tests) are compared with the scalar tests they stand for.
-The html strip is compared with ``extract_main_content_py`` on generated
-tag soup under both gates.  ``test_no_compiler_falls_back_to_python``
+The html strip, per span and as one batch over an Arrow array (whole,
+sliced, with nulls and with spans the batch kernel leaves to Python), is
+compared with ``extract_main_content_py`` on generated tag soup under
+every gate.  ``test_no_compiler_falls_back_to_python``
 hides the compiler, or makes the build fail, and checks that the public
 functions still return the same output through the Python path; the
 hygiene test builds the library with every warning as an error and with
@@ -30,6 +32,8 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -648,6 +652,111 @@ def test_html_native_is_linear_on_unclosed_openers(unit):
         html_extract.extract_main_content_py(small, 1)
 
 
+# spans of the batch strip: tag soup, nulls, "", chrome around escaped
+# text, and soup with a byte the kernel leaves to Python (non-ASCII, NUL)
+# or an entity a kept block must unescape
+_SPANS = st.lists(st.one_of(
+    _SOUP,
+    st.none(),
+    st.just(""),
+    st.text(alphabet="ab &<>;#x", max_size=40).map(
+        lambda t: html_extract.wrap_in_boilerplate(1, t)),
+    st.tuples(_SOUP, st.sampled_from(["\u00e9", "\x00", "\u017f", "\u212a",
+                                      "&amp;", "&", "&lt;p&gt;"]), _SOUP)
+    .map("".join),
+), max_size=12)
+
+
+def _strip_py(texts: list, gate: tuple) -> list:
+    return [None if t is None else html_extract.extract_main_content_py(
+        t, *gate) for t in texts]
+
+
+@needs_kernels
+@settings(max_examples=300, deadline=None)
+@given(spans=_SPANS, gate=_GATES, lo=st.integers(0, 3), hi=st.integers(0, 3),
+       kinds=st.lists(st.booleans(), min_size=12, max_size=12))
+def test_html_batch_strip_matches_python(spans, gate, lo, hi, kinds):
+    """``main_content_array`` under every gate, and ``strip_html_spans``
+    on a table of html and text rows, equal the per-span reference on
+    the whole array and on a slice of it, null for null."""
+    from tensorflow_ocr_ray.pipelines.extract import strip_html_spans
+
+    arr = pa.array(spans, pa.string())
+    lo = min(lo, len(arr))
+    for a in (arr, arr.slice(lo, max(len(arr) - lo - hi, 0))):
+        got = html_extract.main_content_array(a, *gate)
+        got.validate(full=True)
+        assert got.type == pa.string()
+        assert got.to_pylist() == _strip_py(a.to_pylist(), gate)
+    kind = ["html" if k else "text" for k in kinds[:len(spans)]]
+    batch = pa.table({"kind": kind, "text": arr})
+    for b in (batch, batch.slice(lo, max(len(arr) - lo - hi, 0))):
+        rows = b.to_pylist()
+        want = [_strip_py([r["text"]], (1, 0.33))[0] if r["kind"] == "html"
+                else r["text"] for r in rows]
+        assert strip_html_spans(b).column("text").to_pylist() == want
+
+
+@needs_kernels
+def test_html_batch_strip_takes_a_span_over_64_kib():
+    """A span longer than the per-span path's pooled scratch, between
+    short ones: the batch scratch is sized to the longest span."""
+    long = html_extract.wrap_in_boilerplate(2, "long main text " * 6000)
+    assert len(long) > 1 << 16
+    texts = ["<p>short main text</p>", long, None, "<p>tail</p>"]
+    got = html_extract.main_content_array(pa.array(texts), 1)
+    assert got.to_pylist() == _strip_py(texts, (1, 0.33))
+    assert got[1].as_py() == ("long main text " * 6000).strip()
+
+
+@needs_kernels
+def test_html_batch_scratch_is_never_shared_between_threads():
+    """The batch kernel runs without the GIL too: threads that each strip
+    their own array concurrently get their own arrays' texts."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    pages = [html_extract.wrap_in_boilerplate(i, f"main text {i} " * (i + 1))
+             for i in range(16)]
+    want = _strip_py(pages, (1, 0.33))
+    arrays = [pa.array(pages[i:] + pages[:i]) for i in range(16)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            got = list(pool.map(
+                lambda i: html_extract.main_content_array(
+                    arrays[i % 16], 1).to_pylist(),
+                range(800), timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [want[i % 16:] + want[:i % 16] for i in range(800)]
+
+
+@needs_kernels
+def test_web_text_strip_makes_no_per_span_call(monkeypatch, tmp_path):
+    """On the web_text benchmark corpus (seed 1) every html span is ASCII
+    and its kept blocks need no unescape, so ``strip_html_spans`` strips
+    all of them in the kernel: ``extract_main_content`` never runs, and
+    the texts equal the per-span strip's."""
+    from perfbench import inputs
+    from tensorflow_ocr_ray.pipelines import extract
+    from tensorflow_ocr_ray.pipelines.ocr_pipeline import explode_documents
+
+    spans = explode_documents(
+        inputs.load_inputs("web_text", 1, str(tmp_path)).docs)
+    is_html = pc.equal(spans.column("kind"), "html")
+    html = spans.column("text").filter(is_html).to_pylist()
+    assert len(html) > 10_000
+    calls = []
+    real = extract.extract_main_content
+    monkeypatch.setattr(extract, "extract_main_content",
+                        lambda *a: calls.append(a) or real(*a))
+    got = extract.strip_html_spans(spans).column("text").filter(is_html)
+    assert calls == []
+    assert got.to_pylist() == [real(t, 1) for t in html]
+
+
 def _glyph_records(ref: str) -> tuple:
     """The page text of ``ref`` and its glyphs' boxes, tuple bits and
     labels."""
@@ -686,6 +795,9 @@ def test_no_compiler_falls_back_to_python(monkeypatch, tmp_path, compiler):
         assert html_extract.extract_main_content(page, 1) == \
             html_extract.extract_main_content_py(page, 1) == \
             ("main & <text> " * 4).strip()
+        assert html_extract.main_content_array(
+            pa.array([page, None, ""]), 1).to_pylist() == \
+            [("main & <text> " * 4).strip(), None, ""]
         calls = []
         for owner, name in ((segment.PageSegmenter, "find_cells_py"),
                             (features, "fill_tuples_py")):
@@ -716,6 +828,8 @@ _UBSAN_RUNS = [
     ("test_glyph_tuples_native_bits_match_python", [()]),
     ("test_glyph_tuples_round_ties_to_even", [()]),
     ("test_html_native_matches_python", [()]),
+    ("test_html_batch_strip_matches_python", [()]),
+    ("test_html_batch_strip_takes_a_span_over_64_kib", [()]),
 ]
 
 _UBSAN_SCRIPT = """

@@ -306,6 +306,68 @@ def test_pixel_cap_rejects_huge_header():
         decode_png_gray(png)
 
 
+@pytest.mark.parametrize("ctype,depth", [(0, 0), (0, 3), (0, 32), (3, 16),
+                                         (3, 0), (2, 4), (6, 1)])
+def test_invalid_bit_depth_raises(ctype, depth):
+    """A depth the color type does not allow is refused at the header;
+    depth 0 used to reach the gray scaling's division by zero."""
+    png = _png(2, 2, depth, ctype, b"\x00" * 16, plte=bytes(range(12)))
+    with pytest.raises(ValueError, match="invalid depth"):
+        decode_png_gray(png)
+
+
+def test_short_ihdr_and_corrupt_idat_raise_valueerror():
+    short = (b"\x89PNG\r\n\x1a\n"
+             + _chunk(b"IHDR", struct.pack(">IIBB", 2, 2, 8, 0)))
+    with pytest.raises(ValueError, match="IHDR"):
+        decode_png_gray(short)
+    bad = _png(2, 2, 8, 0, b"\x00" * 6)
+    at = bad.index(b"IDAT") + 4
+    bad = bad[:at] + b"\xff\xff" + bad[at + 2:]  # not a zlib header
+    with pytest.raises(ValueError, match="IDAT"):
+        decode_png_gray(bad)
+
+
+def _png_fixtures() -> list[bytes]:
+    """The 12 PNGs of the ``media_png_ink`` query: every color type and
+    every filter."""
+    import pandas as pd
+
+    import __ray_entry__
+
+    return __ray_entry__._png_payloads(
+        pd.DataFrame({"doc_id": list(range(12))})).column(1).to_pylist()
+
+
+def test_cut_and_flipped_pngs_raise_only_valueerror():
+    """Each fixture PNG cut at 40 random lengths and with 40 single-bit
+    flips: every decode returns without a warning or raises
+    ``ValueError``, never ``zlib.error``, ``struct.error`` or a
+    division by zero."""
+    import random
+    import warnings
+
+    rng = random.Random(2083)
+    outcomes = {"ok": 0, "ValueError": 0}
+    for payload in _png_fixtures():
+        cases = [payload[:rng.randrange(len(payload))] for _ in range(40)]
+        for _ in range(40):
+            bit = rng.randrange(8 * len(payload))
+            flipped = bytearray(payload)
+            flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            cases.append(bytes(flipped))
+        for case in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    decode_png_gray(case)
+                    outcomes["ok"] += 1
+                except ValueError:
+                    outcomes["ValueError"] += 1
+    assert sum(outcomes.values()) == 960
+    assert outcomes["ok"] and outcomes["ValueError"]
+
+
 def test_png_through_image_stage(ray_session):
     import pyarrow as pa
 

@@ -256,3 +256,23 @@ def test_dib_headers_are_capped_before_allocation():
     with pytest.raises(ValueError, match="short of 4 rows of 12"):
         decode_avi(_avi(4, 4, 24, 0, [bytes(47)]))
     assert decode_avi(_avi(4, 4, 24, 0, [bytes(48)]))[0].shape == (4, 4)
+
+
+def _avi_short_strf(trailer: bytes) -> bytes:
+    """An AVI whose ``strf`` holds 12 bytes, not a 40-byte
+    BITMAPINFOHEADER, followed in its list by ``trailer``."""
+    strf = _chunk(b"strf", struct.pack("<Iii", 40, 2, 2))
+    strl = _list(b"strl", _chunk(b"strh", bytes(56)) + strf + trailer)
+    body = b"AVI " + _list(b"hdrl", _chunk(b"avih", bytes(56)) + strl)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("trailer", [b"", _chunk(b"JUNK", bytes(16))],
+                         ids=["at_end", "before_next_chunk"])
+def test_avi_short_strf_raises_valueerror(trailer):
+    """A ``strf`` shorter than the 20 header bytes read from it raises
+    ``ValueError``, at the end of the payload (where the unpack would
+    run out of bytes) and before another chunk (whose bytes it would
+    read as the header's)."""
+    with pytest.raises(ValueError, match="strf"):
+        decode_avi(_avi_short_strf(trailer))
