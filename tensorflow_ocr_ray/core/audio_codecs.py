@@ -28,6 +28,8 @@ import struct
 
 import numpy as np
 
+from tensorflow_ocr_ray.core.video_codecs import _riff_chunks
+
 WAVE_PCM = 0x0001
 WAVE_FLOAT = 0x0003
 WAVE_ALAW = 0x0006
@@ -128,31 +130,23 @@ def ima_adpcm_decode_blocks(
     return flat
 
 
-# ---------------- RIFF container --------------------------------------------
-
-def _wav_chunks(payload: bytes):
-    if payload[:4] != b"RIFF" or payload[8:12] != b"WAVE":
-        raise ValueError("not a RIFF/WAVE payload")
-    pos = 12
-    while pos + 8 <= len(payload):
-        cid = payload[pos:pos + 4]
-        (size,) = struct.unpack("<I", payload[pos + 4:pos + 8])
-        body = payload[pos + 8:pos + 8 + size]
-        yield cid, body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
-
-
 def decode_wav(payload: bytes) -> np.ndarray:
     """RIFF/WAVE bytes → mono float32 in [-1, 1).
 
     Handles PCM 8/16/24/32, IEEE float32/64, G.711 A-law/µ-law (any
     channel count, mean-mixed) and MONO IMA ADPCM (the format's stereo
     variant interleaves 4-byte nibble groups per channel — unsupported
-    here, raises NotImplementedError)."""
+    here, raises NotImplementedError).  The chunks are read through
+    ``video_codecs._riff_chunks``, the RIFF walk ``decode_avi`` and the
+    header probe use, so a chunk that runs past the payload (a WAV cut
+    short) raises ``ValueError``."""
+    if payload[:4] != b"RIFF" or payload[8:12] != b"WAVE":
+        raise ValueError("not a RIFF/WAVE payload")
     fmt = None
     data = None
     fact_samples = None
-    for cid, body in _wav_chunks(payload):
+    for cid, pos, size in _riff_chunks(payload, 12, len(payload)):
+        body = payload[pos:pos + size]
         if cid == b"fmt ":
             if len(body) < 16:
                 raise ValueError("fmt chunk too short")

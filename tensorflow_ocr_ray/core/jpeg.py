@@ -33,6 +33,8 @@ import struct
 
 import numpy as np
 
+from tensorflow_ocr_ray.core.gif import MAX_PIXELS
+
 ZIGZAG = np.array(
     [0, 1, 8, 16, 9, 2, 3, 10, 17, 24, 32, 25, 18, 11, 4, 5,
      12, 19, 26, 33, 40, 48, 41, 34, 27, 20, 13, 6, 7, 14, 21, 28,
@@ -158,89 +160,163 @@ def _segment(payload: bytes, pos: int) -> tuple[int, bytes]:
     return seglen, payload[pos + 2:pos + seglen]
 
 
-def decode_jpeg_gray(payload: bytes) -> np.ndarray:
-    """Baseline JPEG bytes → (h, w) uint8 luma plane.  A stream cut
-    short raises ``ValueError``."""
-    if payload[:2] != b"\xff\xd8":
-        raise ValueError("not a JPEG payload (no SOI)")
-    pos = 2
-    qtables: dict[int, np.ndarray] = {}
-    htables: dict[tuple[int, int], _HuffTable] = {}  # (class, id)
-    frame = None
-    restart_interval = 0
+def _segments(payload: bytes, pos: int):
+    """(marker, length field offset, length, body) of each marker
+    segment from ``pos`` on, through EOI (yielded with an empty body);
+    TEM and RSTn carry no segment and are passed over.  The one marker
+    walk: the header before the first scan, the tables between
+    progressive scans and the header probe all read through it, and a
+    walk that runs out of payload raises ``ValueError``."""
     while True:
         if pos + 2 > len(payload):
-            raise ValueError("JPEG truncated before SOS")
+            raise ValueError("JPEG truncated before EOI")
         if payload[pos] != 0xFF:
             raise ValueError(f"expected marker at {pos}")
         marker = payload[pos + 1]
         pos += 2
         if marker == 0xD9:  # EOI
-            raise ValueError("EOI before SOS")
-        if marker in (0x01,) or 0xD0 <= marker <= 0xD7:
+            yield marker, pos, 0, b""
+            return
+        if marker == 0x01 or 0xD0 <= marker <= 0xD7:
             continue  # parameterless
         seglen, body = _segment(payload, pos)
+        yield marker, pos, seglen, body
+        pos += seglen
+
+
+_SOF = (0xC0, 0xC1, 0xC2)  # baseline, extended sequential, progressive
+_SOF_UNSUPPORTED = (0xC3, 0xC5, 0xC6, 0xC7,
+                    0xC9, 0xCA, 0xCB, 0xCD, 0xCE, 0xCF)
+
+
+def _frame(marker: int, body: bytes) -> dict:
+    """The frame header of an SOF0/1/2 segment."""
+    if len(body) < 6 or len(body) < 6 + 3 * body[5] or body[5] == 0:
+        raise ValueError("JPEG SOF segment truncated")
+    prec, h, w, nc = struct.unpack_from(">BHHB", body)
+    comps = []
+    for c in range(nc):
+        cid, hv, tq = body[6 + 3 * c:9 + 3 * c]
+        if not (1 <= hv >> 4 <= 4 and 1 <= hv & 0x0F <= 4):
+            raise ValueError(f"JPEG sampling factors {hv:#04x} out of range")
+        comps.append({"id": cid, "h": hv >> 4, "v": hv & 0x0F, "tq": tq})
+    return {"precision": prec, "h": h, "w": w, "comps": comps,
+            "progressive": marker == 0xC2}
+
+
+def _read_frame(payload: bytes) -> dict:
+    """The frame header of a JPEG, read through the marker walk up to
+    its SOF: the header probe's view, which decodes no table."""
+    if payload[:2] != b"\xff\xd8":
+        raise ValueError("not a JPEG payload (no SOI)")
+    for marker, _, _, body in _segments(payload, 2):
+        if marker in _SOF:
+            return _frame(marker, body)
+        if marker in (0xDA, 0xD9):
+            break
+    raise ValueError("JPEG without SOF")
+
+
+def _scan(body: bytes, frame: dict):
+    """((component id, DC table, AC table) per scan component, and the
+    Ss, Se, Ah/Al bytes) of an SOS header."""
+    ns = body[0] if body else 0
+    if ns == 0 or len(body) < 4 + 2 * ns:
+        raise ValueError("JPEG SOS segment truncated")
+    ids = {c["id"] for c in frame["comps"]}
+    comps = []
+    for c in range(ns):
+        cs, tdta = body[1 + 2 * c], body[2 + 2 * c]
+        if cs not in ids:
+            raise ValueError(f"JPEG scan component {cs} not in the frame")
+        comps.append((cs, tdta >> 4, tdta & 0x0F))
+    return comps, body[1 + 2 * ns:4 + 2 * ns]
+
+
+class _TableMap(dict):
+    """Tables by id; a scan naming one never defined raises
+    ``ValueError``."""
+
+    def __missing__(self, key):
+        raise ValueError(f"JPEG table {key} undefined")
+
+
+class _Tables:
+    """Quantization and Huffman tables and the restart interval, as the
+    DQT, DHT and DRI segments before and between scans define them."""
+
+    def __init__(self):
+        self.q = _TableMap()     # id -> zigzag-order int64 steps
+        self.huff = _TableMap()  # (class, id) -> _HuffTable
+        self.restart_interval = 0
+
+    def read(self, marker: int, body: bytes) -> None:
+        """Take in one marker segment; markers other than DQT, DHT and
+        DRI are passed over."""
+        i = 0
         if marker == 0xDB:  # DQT
-            i = 0
             while i < len(body):
                 pq, tq = body[i] >> 4, body[i] & 0x0F
-                i += 1
-                if pq == 0:
-                    q = np.frombuffer(body[i:i + 64], dtype=np.uint8)
-                    i += 64
-                else:
-                    q = np.frombuffer(body[i:i + 128],
-                                      dtype=">u2").astype(np.int64)
-                    i += 128
-                qtables[tq] = np.asarray(q, dtype=np.int64)
+                n = 128 if pq else 64
+                if i + 1 + n > len(body):
+                    raise ValueError("JPEG DQT segment truncated")
+                self.q[tq] = np.frombuffer(
+                    body[i + 1:i + 1 + n], dtype=">u2" if pq else np.uint8
+                ).astype(np.int64)
+                i += 1 + n
         elif marker == 0xC4:  # DHT
-            i = 0
             while i < len(body):
-                tc, th = body[i] >> 4, body[i] & 0x0F
                 bits = list(body[i + 1:i + 17])
                 n = sum(bits)
-                htables[(tc, th)] = _HuffTable(
-                    bits, body[i + 17:i + 17 + n]
-                )
+                if i + 17 + n > len(body):
+                    raise ValueError("JPEG DHT segment truncated")
+                self.huff[(body[i] >> 4, body[i] & 0x0F)] = _HuffTable(
+                    bits, body[i + 17:i + 17 + n])
                 i += 17 + n
-        elif marker in (0xC0, 0xC1, 0xC2):  # SOF0/1 baseline, SOF2 prog
-            prec, h, w, nc = struct.unpack(">BHHB", body[:6])
-            if prec != 8:
-                raise NotImplementedError(f"{prec}-bit precision")
-            comps = []
-            for c in range(nc):
-                cid, hv, tq = body[6 + 3 * c:9 + 3 * c]
-                comps.append(
-                    {"id": cid, "h": hv >> 4, "v": hv & 0x0F, "tq": tq}
-                )
-            frame = {"h": h, "w": w, "comps": comps,
-                     "progressive": marker == 0xC2}
-        elif marker in (0xC3, 0xC5, 0xC6, 0xC7,
-                        0xC9, 0xCA, 0xCB, 0xCD, 0xCE, 0xCF):
+        elif marker == 0xDD:  # DRI
+            if len(body) < 2:
+                raise ValueError("JPEG DRI segment truncated")
+            (self.restart_interval,) = struct.unpack_from(">H", body)
+
+
+def decode_jpeg_gray(payload: bytes) -> np.ndarray:
+    """Baseline JPEG bytes → (h, w) uint8 luma plane.  A stream cut
+    short raises ``ValueError``, and so does a frame over
+    ``gif.MAX_PIXELS`` pixels, before any plane is allocated."""
+    if payload[:2] != b"\xff\xd8":
+        raise ValueError("not a JPEG payload (no SOI)")
+    tables = _Tables()
+    frame = None
+    for marker, pos, seglen, body in _segments(payload, 2):
+        if marker in (0xDA, 0xD9):
+            break
+        if marker in _SOF:
+            frame = _frame(marker, body)
+        elif marker in _SOF_UNSUPPORTED:
             raise NotImplementedError(
                 f"unsupported SOF marker {marker:#x} (lossless/"
                 "arithmetic/hierarchical)"
             )
-        elif marker == 0xDD:  # DRI
-            (restart_interval,) = struct.unpack(">H", body[:2])
-        elif marker == 0xDA:  # SOS — entropy data follows
-            if frame is None:
-                raise ValueError("SOS before SOF")
-            if frame["progressive"]:
-                return _decode_progressive(
-                    payload, pos, seglen, body, frame, qtables, htables,
-                    restart_interval,
-                )
-            ns = body[0]
-            sel = {}
-            for c in range(ns):
-                cs, tdta = body[1 + 2 * c], body[2 + 2 * c]
-                sel[cs] = (tdta >> 4, tdta & 0x0F)
-            pos += seglen
-            break
-        pos += seglen
+        else:
+            tables.read(marker, body)
+    if marker == 0xD9:
+        raise ValueError("EOI before SOS")
     if frame is None:
         raise ValueError("SOS before SOF")
+    if frame["precision"] != 8:
+        raise NotImplementedError(f"{frame['precision']}-bit precision")
+    if frame["w"] * frame["h"] > MAX_PIXELS:
+        raise ValueError(
+            f"JPEG frame {frame['w']}x{frame['h']} exceeds pixel cap")
+    if frame["progressive"]:
+        return _decode_progressive(payload, pos, seglen, body, frame,
+                                   tables)
+    scan_comps, _ = _scan(body, frame)
+    sel = {cs: (td, ta) for cs, td, ta in scan_comps}
+    if len(sel) != len(frame["comps"]):
+        raise NotImplementedError(
+            "sequential JPEG with one scan per component")
+    pos += seglen
 
     comps = frame["comps"]
     hmax = max(c["h"] for c in comps)
@@ -250,7 +326,8 @@ def decode_jpeg_gray(payload: bytes) -> np.ndarray:
     luma = comps[0]
     lw, lh = 8 * luma["h"] * mcux, 8 * luma["v"] * mcuy
     out = np.zeros((lh, lw), dtype=np.float64)
-    qy = qtables[luma["tq"]]
+    qy = tables.q[luma["tq"]]
+    restart_interval = tables.restart_interval
 
     reader = _BitReader(payload, pos)
     pred = {c["id"]: 0 for c in comps}
@@ -263,8 +340,8 @@ def decode_jpeg_gray(payload: bytes) -> np.ndarray:
                 pred = {c["id"]: 0 for c in comps}
             try:
                 for ci, comp in enumerate(comps):
-                    dc_t = htables[(0, sel[comp["id"]][0])]
-                    ac_t = htables[(1, sel[comp["id"]][1])]
+                    dc_t = tables.huff[(0, sel[comp["id"]][0])]
+                    ac_t = tables.huff[(1, sel[comp["id"]][1])]
                     for by in range(comp["v"]):
                         for bx in range(comp["h"]):
                             coef = np.zeros(64, dtype=np.int64)
@@ -305,8 +382,7 @@ def decode_jpeg_gray(payload: bytes) -> np.ndarray:
 # ---------------- progressive (SOF2) decode -------------------------------
 
 
-def _decode_progressive(payload, pos, seglen, body, frame, qtables,
-                        htables, restart_interval):
+def _decode_progressive(payload, pos, seglen, body, frame, tables):
     """T.81 Annex G progressive decode, luma plane out.
 
     Called at the FIRST SOS; owns the rest of the stream: decodes every
@@ -423,13 +499,10 @@ def _decode_progressive(payload, pos, seglen, body, frame, qtables,
     dummy = np.zeros(64, dtype=np.int64)  # non-luma block sink
     while True:
         # `body`/`seglen` hold the current SOS header; decode its scan
-        ns = body[0]
-        scan_comps = []
-        for c in range(ns):
-            cs, tdta = body[1 + 2 * c], body[2 + 2 * c]
-            scan_comps.append((cs, tdta >> 4, tdta & 0x0F))
-        ss, se, ahal = body[1 + 2 * ns:4 + 2 * ns]
+        scan_comps, (ss, se, ahal) = _scan(body, frame)
+        ns = len(scan_comps)
         ah, al = ahal >> 4, ahal & 0x0F
+        restart_interval = tables.restart_interval
         if (ss == 0) != (se == 0) or se > 63 or ss > se:
             raise ValueError(
                 f"invalid progressive spectral range Ss={ss} Se={se} "
@@ -449,7 +522,7 @@ def _decode_progressive(payload, pos, seglen, body, frame, qtables,
                 coef = coefs[byy, bxx] if is_luma else dummy
                 if ss == 0:
                     if ah == 0:
-                        t = reader.decode_symbol(htables[(0, td)])
+                        t = reader.decode_symbol(tables.huff[(0, td)])
                         diff = _extend(reader.read_bits(t), t)
                         pred[cs] += diff
                         if is_luma:
@@ -461,10 +534,10 @@ def _decode_progressive(payload, pos, seglen, body, frame, qtables,
                 else:
                     if ah == 0:
                         ac_initial(reader, coef, ss, se, al,
-                                   htables[(1, ta)], state)
+                                   tables.huff[(1, ta)], state)
                     else:
                         ac_refine(reader, coef, ss, se, al,
-                                  htables[(1, ta)], state)
+                                  tables.huff[(1, ta)], state)
 
             def resync():
                 reader.resync()
@@ -503,39 +576,20 @@ def _decode_progressive(payload, pos, seglen, body, frame, qtables,
             pos = skip_to_marker(reader.pos)
 
         # next marker: more scans (with table updates) or EOI
-        while True:
-            if pos + 2 > len(payload):
-                raise ValueError("JPEG truncated before EOI")
-            marker = payload[pos + 1]
-            pos += 2
-            if marker == 0xD9:  # EOI — reconstruct
-                qy = qtables[luma["tq"]]
-                nby, nbx = nreal[luma["id"]]
-                out = np.zeros((nby * 8, nbx * 8), dtype=np.float64)
-                for byy in range(nby):
-                    for bxx in range(nbx):
-                        blk = np.zeros(64, dtype=np.int64)
-                        blk[ZIGZAG] = coefs[byy, bxx] * qy
-                        out[byy * 8:byy * 8 + 8, bxx * 8:bxx * 8 + 8] = \
-                            _idct2(blk.reshape(8, 8)) + 128.0
-                return np.clip(np.round(out), 0, 255).astype(np.uint8)[
-                    : frame["h"], : frame["w"]
-                ]
-            seglen, body = _segment(payload, pos)
-            if marker == 0xC4:  # DHT between scans
-                i = 0
-                while i < len(body):
-                    tc, th = body[i] >> 4, body[i] & 0x0F
-                    bits = list(body[i + 1:i + 17])
-                    n = sum(bits)
-                    htables[(tc, th)] = _HuffTable(
-                        bits, body[i + 17:i + 17 + n])
-                    i += 17 + n
-                pos += seglen
-            elif marker == 0xDD:
-                (restart_interval,) = struct.unpack(">H", body[:2])
-                pos += seglen
-            elif marker == 0xDA:
-                break  # decode this scan (body/seglen/pos are set)
-            else:  # APPn/COM/other: skip
-                pos += seglen
+        for marker, pos, seglen, body in _segments(payload, pos):
+            if marker in (0xDA, 0xD9):
+                break
+            tables.read(marker, body)
+        if marker == 0xD9:  # reconstruct
+            qy = tables.q[luma["tq"]]
+            nby, nbx = nreal[luma["id"]]
+            out = np.zeros((nby * 8, nbx * 8), dtype=np.float64)
+            for byy in range(nby):
+                for bxx in range(nbx):
+                    blk = np.zeros(64, dtype=np.int64)
+                    blk[ZIGZAG] = coefs[byy, bxx] * qy
+                    out[byy * 8:byy * 8 + 8, bxx * 8:bxx * 8 + 8] = \
+                        _idct2(blk.reshape(8, 8)) + 128.0
+            return np.clip(np.round(out), 0, 255).astype(np.uint8)[
+                : frame["h"], : frame["w"]
+            ]

@@ -41,7 +41,6 @@ Ghostscript seam.
 from __future__ import annotations
 
 import re
-import struct
 import zlib
 
 import numpy as np
@@ -202,6 +201,8 @@ class _Parser:
             c = d[self.pos]
             if c == 0x5C:  # backslash
                 self.pos += 1
+                if self.pos >= n:
+                    break
                 e = d[self.pos]
                 esc = {0x6E: 10, 0x72: 13, 0x74: 9, 0x62: 8, 0x66: 12,
                        0x28: 0x28, 0x29: 0x29, 0x5C: 0x5C}
@@ -237,6 +238,197 @@ class _Parser:
                 out.append(c)
                 self.pos += 1
         raise ValueError("unterminated PDF string")
+
+
+# abbreviated inline-image keys and color spaces (§8.9.7, Tables 93-94)
+_ABBREV_KEYS = {"W": "Width", "H": "Height", "BPC": "BitsPerComponent",
+                "CS": "ColorSpace", "F": "Filter", "DP": "DecodeParms",
+                "IM": "ImageMask", "D": "Decode", "L": "Length",
+                "I": "Interpolate"}
+_ABBREV_CS = {"G": "DeviceGray", "RGB": "DeviceRGB", "CMYK": "DeviceCMYK",
+              "I": "Indexed"}
+
+
+def _inline_dict(data: bytes, pos: int) -> tuple[dict, int]:
+    """The dictionary of the inline image whose ``BI`` keyword ends at
+    ``pos``, with abbreviated keys and color spaces expanded, and the
+    offset of its first data byte (one whitespace byte after ``ID``)."""
+    p = _Parser(data, pos)
+    d: dict = {}
+    while True:
+        p.skip_ws()
+        if data[p.pos:p.pos + 2] == b"ID":
+            break
+        key = str(p._name())
+        d[_ABBREV_KEYS.get(key, key)] = p.parse()
+    cs = d.get("ColorSpace")
+    if isinstance(cs, _Name) and str(cs) in _ABBREV_CS:
+        d["ColorSpace"] = _Name(_ABBREV_CS[str(cs)])
+    return d, p.pos + 3
+
+
+# ---------------------------------------------------------------------------
+# content streams (§8.2): one interpreter for the layout parse and the
+# rasterizer
+
+_OBJ_START = b"/([<+-.0123456789"
+_IDENT = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+
+
+def _mul(m, n):
+    """Affine product: apply ``m`` then ``n`` (row-vector convention,
+    matching PDF's ``cm``/``Tm`` composition order)."""
+    a1, b1, c1, d1, e1, f1 = m
+    a2, b2, c2, d2, e2, f2 = n
+    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
+            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2,
+            e1 * a2 + f1 * c2 + e2, e1 * b2 + f1 * d2 + f2)
+
+
+class _Interpreter:
+    """The content-stream interpreter shared by ``pdftext`` (layout
+    parse) and ``pdfvector`` (rasterizer): the operand/operator loop,
+    ``q``/``Q``, ``cm``, and the text-state, text-positioning and
+    text-showing operators from ``BT`` through ``"`` (§9.3-9.4).  A
+    subclass supplies its own parts:
+
+    - ``_load_font(name)``: the font ``Tf`` selects;
+    - ``_show(string)``: one shown string, which moves the text matrix
+      through ``_advance`` glyph by glyph;
+    - ``_inline_image(data, pos)``: one ``BI … ID … EI`` image starting
+      after ``BI``, returning the offset after it;
+    - ``_paint(op, operands)``: every other operator (ignored here);
+    - ``_SAVED``: the attributes ``q`` saves and ``Q`` restores.
+
+    An operator given fewer operands than it reads raises
+    ``ValueError``."""
+
+    _SAVED: tuple[str, ...] = ("ctm",)
+
+    def __init__(self, pdf: "PdfFile", resources: dict, ctm=_IDENT):
+        self.pdf = pdf
+        self.res = resources or {}
+        self.ctm = ctm
+        self.tm = self.tlm = _IDENT
+        self.font = None
+        self.tfs = 0.0
+        self.th = 1.0
+        self.tc = self.tw = self.tl = self.rise = 0.0
+        self.tmode = 0
+
+    def run(self, content: bytes) -> None:
+        data = content
+        n = len(data)
+        p = _Parser(data, 0)
+        st: list = []
+        gstack: list[tuple] = []
+        while True:
+            p.skip_ws()
+            if p.pos >= n:
+                return
+            c = data[p.pos:p.pos + 1]
+            if c == b"%":
+                eol = data.find(b"\n", p.pos)
+                p.pos = n if eol < 0 else eol + 1
+                continue
+            if c in _OBJ_START:
+                st.append(p.parse())
+                continue
+            # operator keyword
+            start = p.pos
+            while (p.pos < n and data[p.pos] not in _WS
+                   and data[p.pos] not in _DELIM):
+                p.pos += 1
+            if p.pos == start:     # stray delimiter: skip (malformed)
+                p.pos += 1
+                continue
+            op = data[start:p.pos].decode("latin-1")
+            if op == "BI":
+                p.pos = self._inline_image(data, p.pos)
+            elif op == "q":
+                gstack.append(tuple(getattr(self, a) for a in self._SAVED))
+            elif op == "Q":
+                if gstack:
+                    for a, v in zip(self._SAVED, gstack.pop()):
+                        setattr(self, a, v)
+            else:
+                try:
+                    self._exec(op, st)
+                except IndexError:  # st[-k] past the operands given
+                    raise ValueError(
+                        f"PDF operator {op} short of operands") from None
+            st = []
+
+    def _exec(self, op: str, st: list) -> None:
+        if op == "cm":
+            self.ctm = _mul(tuple(float(v) for v in st[-6:]), self.ctm)
+        elif op == "BT":
+            self.tm = self.tlm = _IDENT
+        elif op == "Tf":
+            self.font = self._load_font(str(st[-2]))
+            self.tfs = float(st[-1])
+        elif op == "Td":
+            self.tlm = _mul((1.0, 0.0, 0.0, 1.0,
+                             float(st[-2]), float(st[-1])), self.tlm)
+            self.tm = self.tlm
+        elif op == "TD":
+            self.tl = -float(st[-1])
+            self.tlm = _mul((1.0, 0.0, 0.0, 1.0,
+                             float(st[-2]), float(st[-1])), self.tlm)
+            self.tm = self.tlm
+        elif op == "Tm":
+            self.tm = self.tlm = tuple(float(v) for v in st[-6:])
+        elif op == "T*":
+            self.tlm = _mul((1.0, 0.0, 0.0, 1.0, 0.0, -self.tl), self.tlm)
+            self.tm = self.tlm
+        elif op == "TL":
+            self.tl = float(st[-1])
+        elif op == "Tc":
+            self.tc = float(st[-1])
+        elif op == "Tw":
+            self.tw = float(st[-1])
+        elif op == "Tz":
+            self.th = float(st[-1]) / 100.0
+        elif op == "Ts":
+            self.rise = float(st[-1])
+        elif op == "Tr":
+            self.tmode = int(st[-1])
+        elif op == "Tj":
+            self._show(st[-1])
+        elif op == "TJ":
+            for el in st[-1]:
+                if isinstance(el, (bytes, bytearray)):
+                    self._show(el)
+                elif isinstance(el, (int, float)):
+                    tx = -float(el) / 1000.0 * self.tfs * self.th
+                    self.tm = _mul((1.0, 0.0, 0.0, 1.0, tx, 0.0), self.tm)
+        elif op == "'":
+            self._exec("T*", [])
+            self._show(st[-1])
+        elif op == '"':
+            self.tw = float(st[-3])
+            self.tc = float(st[-2])
+            self._exec("T*", [])
+            self._show(st[-1])
+        else:
+            self._paint(op, st)
+
+    def _paint(self, op: str, st: list) -> None:
+        """Every operator the shared loop does not handle: ignored
+        unless a subclass paints it."""
+
+    def _trm(self):
+        """The text rendering matrix of the next glyph (§9.4.4)."""
+        return _mul(_mul((self.tfs * self.th, 0.0, 0.0, self.tfs,
+                          0.0, self.rise), self.tm), self.ctm)
+
+    def _advance(self, code: int, w0: float) -> None:
+        """Move the text matrix past one glyph of ``code`` whose width
+        through the FontMatrix is ``w0`` text-space units per unit of
+        font size."""
+        tx = (w0 * self.tfs + self.tc
+              + (self.tw if code == 32 else 0.0)) * self.th
+        self.tm = _mul((1.0, 0.0, 0.0, 1.0, tx, 0.0), self.tm)
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +700,8 @@ class PdfFile:
                 trailer = _Parser(d, tm.end()).parse()
             except Exception:
                 trailer = {}
+        if not isinstance(trailer, dict):
+            trailer = {}
         if "Root" not in trailer:
             for num in offsets:
                 try:
@@ -564,7 +758,7 @@ class PdfFile:
             return self._cache[num]
         ent = self._offsets.get(num)
         if ent is None:
-            raise KeyError(f"object {num} not in xref")
+            raise ValueError(f"object {num} not in xref")
         if ent[0] == "f":
             val = self._parse_obj_at(ent[1])
         else:
@@ -589,6 +783,8 @@ class PdfFile:
                 ooff = int(hdr[2 * i + 1])
                 objs[onum] = _Parser(data, first + ooff).parse()
             self._objstm_cache[stm_num] = objs
+        if want not in self._objstm_cache[stm_num]:
+            raise ValueError(f"object {want} not in object stream {stm_num}")
         return self._objstm_cache[stm_num][want]
 
     def resolve(self, v):
@@ -682,14 +878,6 @@ class PdfFile:
 
     # -- inline images (BI … ID … EI, §8.9.7) -------------------------------
 
-    _ABBREV_KEYS = {"W": "Width", "H": "Height",
-                    "BPC": "BitsPerComponent", "CS": "ColorSpace",
-                    "F": "Filter", "DP": "DecodeParms",
-                    "IM": "ImageMask", "D": "Decode", "L": "Length",
-                    "I": "Interpolate"}
-    _ABBREV_CS = {"G": "DeviceGray", "RGB": "DeviceRGB",
-                  "CMYK": "DeviceCMYK", "I": "Indexed"}
-
     def _page_content(self, page: dict) -> bytes:
         contents = self.resolve(page.get("Contents"))
         if contents is None:
@@ -720,23 +908,11 @@ class PdfFile:
                           rb"(?=[\x00\t\n\x0c\r /])", content[pos:])
             if m is None:
                 return out
-            p = _Parser(content, pos + m.end())
-            d: dict = {}
             try:
-                while True:
-                    p.skip_ws()
-                    if content[p.pos:p.pos + 2] == b"ID":
-                        p.pos += 2
-                        break
-                    key = str(p._name())
-                    d[self._ABBREV_KEYS.get(key, key)] = p.parse()
+                d, start = _inline_dict(content, pos + m.end())
             except Exception:
                 pos += m.end()
                 continue
-            cs = d.get("ColorSpace")
-            if isinstance(cs, _Name) and str(cs) in self._ABBREV_CS:
-                d["ColorSpace"] = _Name(self._ABBREV_CS[str(cs)])
-            start = p.pos + 1  # exactly one whitespace byte after ID
             data, end = self._inline_payload(content, start, d)
             if data is not None:
                 out.append(_Stream(d, data))
@@ -794,6 +970,8 @@ class PdfFile:
     def _image_gray(self, xobj: _Stream) -> np.ndarray:
         d = {k: self.resolve(v) if not isinstance(v, _Stream) else v
              for k, v in xobj.dict.items()}
+        if "Width" not in d or "Height" not in d:
+            raise ValueError("PDF image without /Width or /Height")
         w = int(d["Width"])
         h = int(d["Height"])
         data, imgf, parms = _decode_stream(xobj.dict, xobj.raw, self.resolve)

@@ -7,8 +7,11 @@ need to be rasterized and OCR'd at all — the content stream already
 says WHAT characters sit WHERE.  This module recovers the text purely
 from layout:
 
-1. walk every page's content stream(s) tracking the full text state
-   machine (``BT ET Tf Td TD Tm T* TL Tc Tw Tz Ts Tj TJ ' "``);
+1. walk every page's content stream(s) through the content-stream
+   interpreter the rasterizer uses (``pdfimage._Interpreter``: the
+   operator loop, ``q Q cm`` and the text state machine ``BT ET Tf Td
+   TD Tm T* TL Tc Tw Tz Ts Tr Tj TJ ' "``); this module supplies only
+   the font lookup, the glyph recording and the inline-image skip;
 2. for each shown glyph record its device-space box: origin from the
    ``Trm = [tfs*Th 0 0 tfs 0 rise] x Tm x CTM`` composition, ink width
    and height from the font (Type3 CharProc bitmap dims when present,
@@ -39,16 +42,11 @@ import re
 from tensorflow_ocr_ray.core.pdfimage import (
     PdfFile,
     _decode_stream,
+    _inline_dict,
+    _Interpreter,
     _Name,
-    _Parser,
     _Stream,
 )
-
-_WS = b"\x00\t\n\x0c\r "
-_DELIM = b"()<>[]{}/%"
-_OBJ_START = b"/([<+-.0123456789"
-
-_IDENT = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 _HEXNAME = re.compile(r"^g([0-9a-fA-F]{4})$")
 
@@ -64,20 +62,6 @@ _STD_NAMES = {
     "zero": "0", "one": "1", "two": "2", "three": "3", "four": "4",
     "five": "5", "six": "6", "seven": "7", "eight": "8", "nine": "9",
 }
-
-
-def _mul(m, n):
-    """Affine product (row-vector convention, PDF composition order)."""
-    a, b, c, d, e, f = m
-    a2, b2, c2, d2, e2, f2 = n
-    return (
-        a * a2 + b * c2,
-        a * b2 + b * d2,
-        c * a2 + d * c2,
-        c * b2 + d * d2,
-        e * a2 + f * c2 + e2,
-        e * b2 + f * d2 + f2,
-    )
 
 
 class _Font:
@@ -141,15 +125,8 @@ def _charproc_ink(pdf: PdfFile, stm: _Stream) -> tuple[float, float] | None:
         return None
     bi = body.find(b"BI")
     if bi >= 0:
-        p = _Parser(body, bi + 2)
-        d: dict = {}
         try:
-            while True:
-                p.skip_ws()
-                if body[p.pos:p.pos + 2] == b"ID":
-                    break
-                key = str(p._name())
-                d[{"W": "Width", "H": "Height"}.get(key, key)] = p.parse()
+            d, _ = _inline_dict(body, bi + 2)
         except Exception:
             return None
         w, h = d.get("Width"), d.get("Height")
@@ -158,26 +135,18 @@ def _charproc_ink(pdf: PdfFile, stm: _Stream) -> tuple[float, float] | None:
     return None
 
 
-class _TextRun:
-    """One page's text-state interpreter; collects glyph boxes."""
+class _TextRun(_Interpreter):
+    """One page's text run through the shared content-stream
+    interpreter: fonts give metrics and encodings, shown glyphs are
+    recorded as boxes, and inline images are skipped."""
 
     def __init__(self, pdf: PdfFile, resources: dict):
-        self.pdf = pdf
-        self.res = resources or {}
+        super().__init__(pdf, resources)
         self.fonts: dict[str, _Font] = {}
-        self.ctm = _IDENT
-        self.tm = self.tlm = _IDENT
-        self.font: _Font | None = None
-        self.tfs = 0.0
-        self.tl = 0.0
-        self.tc = 0.0
-        self.tw = 0.0
-        self.th = 1.0
-        self.rise = 0.0
         # (baseline_y, left_x, right_x, height, char) in device units
         self.glyphs: list[tuple[float, float, float, float, str]] = []
 
-    def _lookup(self, name: str) -> _Font:
+    def _load_font(self, name: str) -> _Font:
         if name not in self.fonts:
             fonts = self.pdf.resolve(self.res.get("Font")) or {}
             fdict = self.pdf.resolve(fonts.get(name))
@@ -186,123 +155,20 @@ class _TextRun:
             self.fonts[name] = _Font(self.pdf, fdict)
         return self.fonts[name]
 
-    # -- interpreter -----------------------------------------------------
-
-    def run(self, content: bytes) -> None:
-        data = content
-        n = len(data)
-        p = _Parser(data, 0)
-        st: list = []
-        gstack: list[tuple] = []
-        while True:
-            p.skip_ws()
-            if p.pos >= n:
-                return
-            c = data[p.pos:p.pos + 1]
-            if c == b"%":
-                eol = data.find(b"\n", p.pos)
-                p.pos = n if eol < 0 else eol + 1
-                continue
-            if c in _OBJ_START:
-                st.append(p.parse())
-                continue
-            start = p.pos
-            while (p.pos < n and data[p.pos] not in _WS
-                   and data[p.pos] not in _DELIM):
-                p.pos += 1
-            if p.pos == start:
-                p.pos += 1
-                continue
-            op = data[start:p.pos].decode("latin-1")
-            if op == "BI":
-                # inline image outside a charproc: skip its payload
-                p.pos = self._skip_inline(data, p.pos)
-            elif op == "q":
-                gstack.append(self.ctm)
-            elif op == "Q":
-                if gstack:
-                    self.ctm = gstack.pop()
-            else:
-                self._exec(op, st)
-            st = []
-
-    def _skip_inline(self, data: bytes, pos: int) -> int:
-        p = _Parser(data, pos)
-        d: dict = {}
-        while True:
-            p.skip_ws()
-            if data[p.pos:p.pos + 2] == b"ID":
-                p.pos += 2
-                break
-            key = str(p._name())
-            d[self.pdf._ABBREV_KEYS.get(key, key)] = p.parse()
-        payload, end = self.pdf._inline_payload(data, p.pos + 1, d)
+    def _inline_image(self, data: bytes, pos: int) -> int:
+        d, start = _inline_dict(data, pos)
+        payload, end = self.pdf._inline_payload(data, start, d)
         if payload is None:                       # unparseable: bail to EI
-            ei = data.find(b"EI", p.pos)
+            ei = data.find(b"EI", start - 1)
             return len(data) if ei < 0 else ei + 2
         return end
-
-    def _exec(self, op: str, st: list) -> None:
-        if op == "cm":
-            self.ctm = _mul(tuple(float(v) for v in st[-6:]), self.ctm)
-        elif op == "BT":
-            self.tm = self.tlm = _IDENT
-        elif op == "Tf":
-            self.font = self._lookup(str(st[-2]))
-            self.tfs = float(st[-1])
-        elif op == "Td":
-            self.tlm = _mul((1.0, 0.0, 0.0, 1.0,
-                             float(st[-2]), float(st[-1])), self.tlm)
-            self.tm = self.tlm
-        elif op == "TD":
-            self.tl = -float(st[-1])
-            self.tlm = _mul((1.0, 0.0, 0.0, 1.0,
-                             float(st[-2]), float(st[-1])), self.tlm)
-            self.tm = self.tlm
-        elif op == "Tm":
-            self.tm = self.tlm = tuple(float(v) for v in st[-6:])
-        elif op == "T*":
-            self.tlm = _mul((1.0, 0.0, 0.0, 1.0, 0.0, -self.tl), self.tlm)
-            self.tm = self.tlm
-        elif op == "TL":
-            self.tl = float(st[-1])
-        elif op == "Tc":
-            self.tc = float(st[-1])
-        elif op == "Tw":
-            self.tw = float(st[-1])
-        elif op == "Tz":
-            self.th = float(st[-1]) / 100.0
-        elif op == "Ts":
-            self.rise = float(st[-1])
-        elif op == "Tj":
-            self._show(st[-1])
-        elif op == "TJ":
-            for el in st[-1]:
-                if isinstance(el, (bytes, bytearray)):
-                    self._show(el)
-                elif isinstance(el, (int, float)):
-                    tx = -float(el) / 1000.0 * self.tfs * self.th
-                    self.tm = _mul((1.0, 0.0, 0.0, 1.0, tx, 0.0), self.tm)
-        elif op == "'":
-            self._exec("T*", [])
-            self._show(st[-1])
-        elif op == '"':
-            self.tw = float(st[-3])
-            self.tc = float(st[-2])
-            self._exec("T*", [])
-            self._show(st[-1])
-        # every painting / color / path operator: ignored — layout only
 
     def _show(self, s) -> None:
         if not isinstance(s, (bytes, bytearray)) or self.font is None:
             return
         fm = self.font.matrix
         for code in bytes(s):
-            trm = _mul(
-                _mul((self.tfs * self.th, 0.0, 0.0, self.tfs,
-                      0.0, self.rise), self.tm),
-                self.ctm,
-            )
+            trm = self._trm()
             ch = self.font.char(code)
             adv_g = self.font.advance(code)       # glyph-space units
             name = self.font.names.get(code)
@@ -316,9 +182,7 @@ class _TextRun:
             if ch != " ":
                 self.glyphs.append(
                     (y0, x0, x0 + ink_w_g * sx, ink_h_g * abs(sy), ch))
-            tx = (adv_g * fm[0] * self.tfs + self.tc
-                  + (self.tw if code == 32 else 0.0)) * self.th
-            self.tm = _mul((1.0, 0.0, 0.0, 1.0, tx, 0.0), self.tm)
+            self._advance(code, adv_g * fm[0])
 
 
 def extract_text_layout(payload: bytes, space_fraction: float = 0.6) -> str:

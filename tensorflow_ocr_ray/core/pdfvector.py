@@ -6,7 +6,11 @@ The reference converts PDFs outside the engine with Ghostscript
 already decode fully in-process via :mod:`core.pdfimage`.  This module
 rasterizes the remaining class a user actually hits — PDFs whose pages
 are DRAWN rather than scanned — for the subset of the content-stream
-language that text-dominant PDFs use:
+language that text-dominant PDFs use.  The operator loop, ``q Q cm``
+and the text state machine are the content-stream interpreter the
+layout parse (:mod:`core.pdftext`) also runs (``pdfimage._Interpreter``);
+this module adds the canvas, the painting operators, Type3 glyphs and
+images:
 
 - graphics state: ``q Q cm`` (``gs``/line-style operators ignored)
 - color: ``g rg k`` and ``sc/scn`` with numeric operands (luma
@@ -38,31 +42,17 @@ import numpy as np
 from tensorflow_ocr_ray.core.pdfimage import (
     PdfFile,
     _decode_stream,
+    _inline_dict,
+    _Interpreter,
+    _mul,
     _Name,
-    _Parser,
     _Stream,
 )
-
-_WS = b"\x00\t\n\x0c\r "
-_DELIM = b"()<>[]{}/%"
-_OBJ_START = b"/([<+-.0123456789"
-
-_IDENT = (1.0, 0.0, 0.0, 1.0, 0.0, 0.0)
 
 
 class UnsupportedVectorPdf(NotImplementedError):
     """Content outside the rasterized subset (outline fonts, curve
     paths, form XObjects) — the caller falls back to Ghostscript."""
-
-
-def _mul(m, n):
-    """Affine product: apply ``m`` then ``n`` (row-vector convention,
-    matching PDF's ``cm``/``Tm`` composition order)."""
-    a1, b1, c1, d1, e1, f1 = m
-    a2, b2, c2, d2, e2, f2 = n
-    return (a1 * a2 + b1 * c2, a1 * b2 + b1 * d2,
-            c1 * a2 + d1 * c2, c1 * b2 + d1 * d2,
-            e1 * a2 + f1 * c2 + e2, e1 * b2 + f1 * d2 + f2)
 
 
 def _apply(m, x, y):
@@ -140,30 +130,23 @@ class _Type3Font:
         return 0.0
 
 
-class _Raster:
-    """One content-stream interpreter over a shared canvas.
+class _Raster(_Interpreter):
+    """The shared content-stream interpreter over a canvas: paths, fills,
+    colors, images and Type3 glyphs paint into it.
 
     CharProc execution recurses with a child ``_Raster`` whose base CTM
     is the glyph transform — the same machinery renders pages and
     glyphs."""
 
+    _SAVED = ("ctm", "fill")
+
     def __init__(self, pdf: PdfFile, canvas: np.ndarray, resources: dict,
                  ctm, fill: int = 0):
-        self.pdf = pdf
+        super().__init__(pdf, resources, ctm)
         self.canvas = canvas
-        self.res = resources or {}
-        self.ctm = ctm
         self.fill = fill
-        self._stack: list[tuple] = []
         self._rects: list[tuple] = []      # pending re rects (user space)
         self._path_other = False           # non-rect path segments seen
-        # text state
-        self.tm = self.tlm = _IDENT
-        self.tfs = 0.0
-        self.th = 1.0
-        self.tc = self.tw = self.tl = self.rise = 0.0
-        self.tmode = 0
-        self.font: _Type3Font | None = None
         self._font_cache: dict[int, _Type3Font] = {}
 
     # -- painting ----------------------------------------------------------
@@ -246,7 +229,7 @@ class _Raster:
 
     # -- text --------------------------------------------------------------
 
-    def _lookup_font(self, name: str) -> _Type3Font:
+    def _load_font(self, name: str) -> _Type3Font:
         fonts = self.pdf.resolve(self.res.get("Font")) or {}
         ref = fonts.get(name)
         key = id(ref)
@@ -276,83 +259,27 @@ class _Raster:
             if self.tmode != 3:        # 3 = invisible (OCR text layers)
                 proc = font.charproc(code)
                 if proc is not None:
-                    trm = _mul(_mul((self.tfs * self.th, 0.0, 0.0,
-                                     self.tfs, 0.0, self.rise),
-                                    self.tm), self.ctm)
                     child = _Raster(self.pdf, self.canvas, font.resources,
-                                    _mul(font.matrix, trm), self.fill)
+                                    _mul(font.matrix, self._trm()),
+                                    self.fill)
                     child.run(proc)
-            w0 = font.width(code)      # glyph space -> text space
-            tx = (w0 * font.matrix[0] * self.tfs
-                  + self.tc + (self.tw if code == 32 else 0.0)) * self.th
-            self.tm = _mul((1.0, 0.0, 0.0, 1.0, tx, 0.0), self.tm)
+            # glyph space -> text space
+            self._advance(code, font.width(code) * font.matrix[0])
 
     # -- interpreter -------------------------------------------------------
-
-    def run(self, content: bytes) -> None:
-        data = content
-        n = len(data)
-        p = _Parser(data, 0)
-        st: list = []
-        gstack: list[tuple] = []
-        while True:
-            p.skip_ws()
-            if p.pos >= n:
-                return
-            c = data[p.pos:p.pos + 1]
-            if c == b"%":
-                eol = data.find(b"\n", p.pos)
-                p.pos = n if eol < 0 else eol + 1
-                continue
-            if c in _OBJ_START:
-                st.append(p.parse())
-                continue
-            # operator keyword
-            start = p.pos
-            while (p.pos < n and data[p.pos] not in _WS
-                   and data[p.pos] not in _DELIM):
-                p.pos += 1
-            if p.pos == start:     # stray delimiter: skip (malformed)
-                p.pos += 1
-                continue
-            op = data[start:p.pos].decode("latin-1")
-            if op == "BI":
-                p.pos = self._inline_image(data, p.pos)
-            elif op == "q":
-                gstack.append((self.ctm, self.fill))
-            elif op == "Q":
-                if gstack:
-                    self.ctm, self.fill = gstack.pop()
-            else:
-                self._exec(op, st)
-            st = []
 
     def _inline_image(self, data: bytes, pos: int) -> int:
         """Parse ``BI <dict> ID <payload> EI`` starting just after the
         ``BI`` keyword; draw; return the next position."""
-        p = _Parser(data, pos)
-        d: dict = {}
-        while True:
-            p.skip_ws()
-            if data[p.pos:p.pos + 2] == b"ID":
-                p.pos += 2
-                break
-            key = str(p._name())
-            d[self.pdf._ABBREV_KEYS.get(key, key)] = p.parse()
-        cs = d.get("ColorSpace")
-        if isinstance(cs, _Name) and str(cs) in self.pdf._ABBREV_CS:
-            d["ColorSpace"] = _Name(self.pdf._ABBREV_CS[str(cs)])
-        start = p.pos + 1          # exactly one whitespace byte after ID
+        d, start = _inline_dict(data, pos)
         payload, end = self.pdf._inline_payload(data, start, d)
         if payload is None:
             raise UnsupportedVectorPdf("unparseable inline image")
         self._draw_image_stream(_Stream(d, payload))
         return end
 
-    def _exec(self, op: str, st: list) -> None:
-        if op == "cm":
-            self.ctm = _mul(tuple(float(v) for v in st[-6:]), self.ctm)
-        elif op == "re":
+    def _paint(self, op: str, st: list) -> None:
+        if op == "re":
             x, y, w, h = (float(v) for v in st[-4:])
             self._rects.append((x, y, w, h))
         elif op in ("f", "F", "f*", "B", "B*", "b", "b*"):
@@ -378,56 +305,6 @@ class _Raster:
             nums = [v for v in st if isinstance(v, (int, float))]
             if nums:
                 self.fill = _luma(nums)
-        elif op == "BT":
-            self.tm = self.tlm = _IDENT
-        elif op == "ET":
-            pass
-        elif op == "Tf":
-            self.font = self._lookup_font(str(st[-2]))
-            self.tfs = float(st[-1])
-        elif op == "Td":
-            self.tlm = _mul((1.0, 0.0, 0.0, 1.0,
-                             float(st[-2]), float(st[-1])), self.tlm)
-            self.tm = self.tlm
-        elif op == "TD":
-            self.tl = -float(st[-1])
-            self.tlm = _mul((1.0, 0.0, 0.0, 1.0,
-                             float(st[-2]), float(st[-1])), self.tlm)
-            self.tm = self.tlm
-        elif op == "Tm":
-            self.tm = self.tlm = tuple(float(v) for v in st[-6:])
-        elif op == "T*":
-            self.tlm = _mul((1.0, 0.0, 0.0, 1.0, 0.0, -self.tl), self.tlm)
-            self.tm = self.tlm
-        elif op == "TL":
-            self.tl = float(st[-1])
-        elif op == "Tc":
-            self.tc = float(st[-1])
-        elif op == "Tw":
-            self.tw = float(st[-1])
-        elif op == "Tz":
-            self.th = float(st[-1]) / 100.0
-        elif op == "Ts":
-            self.rise = float(st[-1])
-        elif op == "Tr":
-            self.tmode = int(st[-1])
-        elif op == "Tj":
-            self._show(st[-1])
-        elif op == "TJ":
-            for el in st[-1]:
-                if isinstance(el, (bytes, bytearray)):
-                    self._show(el)
-                elif isinstance(el, (int, float)):
-                    tx = -float(el) / 1000.0 * self.tfs * self.th
-                    self.tm = _mul((1.0, 0.0, 0.0, 1.0, tx, 0.0), self.tm)
-        elif op == "'":
-            self._exec("T*", [])
-            self._show(st[-1])
-        elif op == '"':
-            self.tw = float(st[-3])
-            self.tc = float(st[-2])
-            self._exec("T*", [])
-            self._show(st[-1])
         elif op == "Do":
             xo = self.pdf.resolve(self.res.get("XObject")) or {}
             stm = self.pdf.resolve(xo.get(str(st[-1])))
@@ -440,11 +317,8 @@ class _Raster:
                 raise UnsupportedVectorPdf(
                     f"XObject Subtype {sub} (Form XObjects need "
                     "Ghostscript)")
-        elif op in ("d0", "d1", "gs", "ri", "i", "j", "J", "M", "d",
-                    "w", "G", "RG", "K", "CS", "cs", "SC", "SCN",
-                    "MP", "DP", "BMC", "BDC", "EMC", "BX", "EX"):
-            pass                   # metrics / stroke / marked content
-        # unknown operators: ignore (spec: BX/EX compatibility default)
+        # metrics, stroke, marked-content and unknown operators: ignored
+        # (spec: BX/EX compatibility default)
 
 
 def rasterize_vector_pages(payload: bytes, dpi: int = 400,

@@ -39,6 +39,8 @@ _SIG = b"\x89PNG\r\n\x1a\n"
 # the bit depths each color type allows (RFC 2083 §4.1.1); the color
 # types not listed (RGB, gray+alpha, RGBA) allow 8 and 16
 _DEPTHS = {0: (1, 2, 4, 8, 16), 3: (1, 2, 4, 8)}
+# samples per pixel of each color type
+_CHANNELS = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}
 
 
 def _paeth(a: int, b: int, c: int) -> int:
@@ -94,33 +96,61 @@ def _luma(r, g, b):
     ).astype(np.uint8)
 
 
-def decode_png_gray(payload: bytes) -> np.ndarray:
-    """PNG bytes → (h, w) uint8 grayscale."""
+def _chunks(payload: bytes):
+    """(type, body) of every chunk after the signature, in file order:
+    the one PNG chunk walk, shared by ``decode_png_gray`` and the
+    header probe.  CRCs are not validated (data bugs raise downstream;
+    the engine's media-error policy handles corruption), and a body cut
+    short by the end of the payload is yielded as far as it goes."""
     if payload[:8] != _SIG:
         raise ValueError("not a PNG payload")
     pos = 8
+    while pos + 8 <= len(payload):
+        (size,) = struct.unpack_from(">I", payload, pos)
+        yield payload[pos + 4:pos + 8], payload[pos + 8:pos + 8 + size]
+        pos += 12 + size
+
+
+def _ihdr(body: bytes) -> tuple[int, int, int, int, int]:
+    """(width, height, bit depth, color type, interlace) of an IHDR
+    body, which must be 13 bytes of a standard header: compression and
+    filter method 0, a known interlace method and color type, and a bit
+    depth that color type allows."""
+    if len(body) != 13:
+        raise ValueError(f"PNG IHDR of {len(body)} bytes, not 13")
+    w, h, depth, ctype, comp, filt, interlace = struct.unpack(
+        ">IIBBBBB", body
+    )
+    if comp != 0 or filt != 0:
+        raise ValueError("non-standard compression/filter method")
+    if interlace not in (0, 1):
+        raise ValueError(f"unknown PNG interlace method {interlace}")
+    if ctype not in _CHANNELS:
+        raise ValueError(f"unknown PNG color type {ctype}")
+    if depth not in _DEPTHS.get(ctype, (8, 16)):
+        raise ValueError(f"invalid depth {depth} for color type {ctype}")
+    return w, h, depth, ctype, interlace
+
+
+def _read_ihdr(payload: bytes) -> tuple[int, int, int, int, int]:
+    """The IHDR fields of a PNG, read through the chunk walk."""
+    for cid, body in _chunks(payload):
+        if cid == b"IHDR":
+            return _ihdr(body)
+    raise ValueError("PNG missing IHDR")
+
+
+def decode_png_gray(payload: bytes) -> np.ndarray:
+    """PNG bytes → (h, w) uint8 grayscale."""
     ihdr = None
     plte = None
     idat = bytearray()
-    while pos + 8 <= len(payload):
-        (size,) = struct.unpack(">I", payload[pos:pos + 4])
-        cid = payload[pos + 4:pos + 8]
-        body = payload[pos + 8:pos + 8 + size]
-        pos += 12 + size  # incl. CRC (not validated — data bugs raise
-        # downstream; the engine's media-error policy handles corruption)
+    for cid, body in _chunks(payload):
         if cid == b"IHDR":
-            if len(body) != 13:
-                raise ValueError(f"PNG IHDR of {len(body)} bytes, not 13")
-            w, h, depth, ctype, comp, filt, interlace = struct.unpack(
-                ">IIBBBBB", body
-            )
-            if comp != 0 or filt != 0:
-                raise ValueError("non-standard compression/filter method")
-            if interlace not in (0, 1):
-                raise ValueError(f"unknown PNG interlace method {interlace}")
-            if w * h > MAX_PIXELS:
-                raise ValueError(f"PNG image {w}x{h} exceeds pixel cap")
-            ihdr = (w, h, depth, ctype, interlace)
+            ihdr = _ihdr(body)
+            if ihdr[0] * ihdr[1] > MAX_PIXELS:
+                raise ValueError(
+                    f"PNG image {ihdr[0]}x{ihdr[1]} exceeds pixel cap")
         elif cid == b"PLTE":
             pal = np.frombuffer(body, dtype=np.uint8)
             pal = pal[: (len(pal) // 3) * 3].reshape(-1, 3)
@@ -136,11 +166,7 @@ def decode_png_gray(payload: bytes) -> np.ndarray:
     if ihdr is None:
         raise ValueError("PNG missing IHDR")
     w, h, depth, ctype, interlace = ihdr
-    channels = {0: 1, 2: 3, 3: 1, 4: 2, 6: 4}.get(ctype)
-    if channels is None:
-        raise ValueError(f"unknown PNG color type {ctype}")
-    if depth not in _DEPTHS.get(ctype, (8, 16)):
-        raise ValueError(f"invalid depth {depth} for color type {ctype}")
+    channels = _CHANNELS[ctype]
 
     bits_pp = channels * depth
     bpp = max(1, bits_pp // 8)

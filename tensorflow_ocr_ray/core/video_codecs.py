@@ -35,8 +35,8 @@ def _riff_chunks(buf: bytes, pos: int, end: int):
     """(fourcc, body offset, size) of every chunk in ``buf[pos:end]``,
     descending into each ``LIST`` in file order (the list itself is not
     yielded).  A chunk whose body runs past its list raises
-    ``ValueError``.  The one RIFF walk, shared by ``decode_avi`` and the
-    header probe."""
+    ``ValueError``.  The one RIFF walk, shared by ``decode_avi``,
+    ``audio_codecs.decode_wav`` and the header probe."""
     outer: list[tuple[int, int]] = []  # (resume pos, end) of open lists
     while True:
         if pos + 8 > end:
@@ -65,14 +65,38 @@ def _gray_from_bgr(b, g, r):
     ).astype(np.uint8)
 
 
-def _check_dib_size(kind: str, w: int, h: int) -> None:
-    """Refuse a DIB header whose pixel count no frame may have, before
-    anything is allocated from it: every decoder below sizes its output
-    from these two fields."""
+def _dib_header(kind: str, buf: bytes, pos: int, end: int):
+    """(width, height, bpp, compression, gray palette) of the
+    BITMAPINFOHEADER at ``buf[pos:end]``, the one DIB header reader of
+    ``decode_bmp`` and ``decode_avi``.  A size no frame may have is
+    refused here, before anything is allocated from it: every decoder
+    sizes its output from these two fields.  An 8-bit DIB's palette is
+    the luma of the BGRX quads after the header (``biClrUsed`` of them,
+    or 256 when 0), padded with zeros to 256 entries so that an index
+    past the palette reads 0; it is None at other depths or when no
+    quad is there."""
+    if end - pos < 20:
+        raise ValueError(f"{kind} header of {end - pos} bytes is too "
+                         "short for a BITMAPINFOHEADER")
+    bi_size, w, h, _planes, bpp, comp = struct.unpack_from(
+        "<IiiHHI", buf, pos)
     if w <= 0 or h == 0:
         raise ValueError(f"{kind} degenerate dimensions {w}x{h}")
     if w * abs(h) > MAX_PIXELS:
         raise ValueError(f"{kind} {w}x{abs(h)} exceeds pixel cap")
+    palette = None
+    if bpp == 8:
+        n = struct.unpack_from("<I", buf, pos + 32)[0] \
+            if end - pos >= 36 else 0
+        start = pos + bi_size
+        quads = np.frombuffer(
+            buf[start:min(end, start + 4 * (n or 256))], dtype=np.uint8)
+        quads = quads[: min(len(quads) // 4, 256) * 4].reshape(-1, 4)
+        if len(quads):
+            palette = np.zeros(256, dtype=np.uint8)
+            palette[:len(quads)] = _gray_from_bgr(
+                quads[:, 0], quads[:, 1], quads[:, 2])
+    return w, h, bpp, comp, palette
 
 
 def _decode_dib_frame(
@@ -154,32 +178,9 @@ def decode_avi(payload: bytes) -> list[np.ndarray]:
 
     for cid, body_pos, size in _riff_chunks(payload, 12, len(payload)):
         if cid == b"strf" and compression is None:
-            # BITMAPINFOHEADER: biSize, biWidth, biHeight, planes,
-            # bitcount, biCompression, ... palette follows biSize
-            if size < 20:
-                raise ValueError(f"AVI strf chunk of {size} bytes is too "
-                                 "short for a BITMAPINFOHEADER")
-            (bi_size, bw, bh, _pl, bc, comp) = struct.unpack(
-                "<IiiHHI", payload[body_pos:body_pos + 20]
-            )
-            _check_dib_size("AVI frame", bw, bh)
-            w, h, bpp, compression = bw, abs(bh), bc, comp
-            if bc == 8:
-                pal = np.frombuffer(
-                    payload[body_pos + bi_size:body_pos + size],
-                    dtype=np.uint8,
-                )
-                pal = pal[: (len(pal) // 4) * 4].reshape(-1, 4)
-                if len(pal):
-                    palette_gray = _gray_from_bgr(
-                        pal[:, 0], pal[:, 1], pal[:, 2]
-                    )
-                    if len(palette_gray) < 256:
-                        palette_gray = np.concatenate(
-                            [palette_gray,
-                             np.zeros(256 - len(palette_gray),
-                                      dtype=np.uint8)]
-                        )
+            w, h, bpp, compression, palette_gray = _dib_header(
+                "AVI strf", payload, body_pos, body_pos + size)
+            h = abs(h)
         elif cid[2:4] in (b"db", b"dc"):
             if compression is None:
                 raise ValueError("frame chunk before strf header")
@@ -216,31 +217,19 @@ def decode_avi(payload: bytes) -> list[np.ndarray]:
 def decode_bmp(payload: bytes) -> np.ndarray:
     """Standalone BMP file -> (h, w) uint8 grayscale.
 
-    The still-image twin of the AVI path, reusing the same DIB row
-    decoders: BITMAPFILEHEADER ("BM", pixel offset) + BITMAPINFOHEADER
-    (negative height = top-down), BI_RGB at 8 (palette) / 24 (BGR) /
-    32 (BGRX) bpp and BI_RLE8; palette entries are BGRX quads folded
-    through the ITU-R 601 integer luma."""
+    The still-image twin of the AVI path, reusing its DIB header reader
+    (``_dib_header``) and row decoders: BITMAPFILEHEADER ("BM", pixel
+    offset) + BITMAPINFOHEADER (negative height = top-down), BI_RGB at
+    8 (palette) / 24 (BGR) / 32 (BGRX) bpp and BI_RLE8; palette entries
+    are BGRX quads folded through the ITU-R 601 integer luma, and an
+    index past the palette reads 0."""
     if payload[:2] != b"BM" or len(payload) < 54:
         raise ValueError("not a BMP payload")
-    (off,) = struct.unpack("<I", payload[10:14])
-    (bi_size, w, h, _planes, bpp, comp, _size_image) = struct.unpack(
-        "<IiiHHII", payload[14:38]
-    )
-    _check_dib_size("BMP", w, h)
+    (off,) = struct.unpack_from("<I", payload, 10)
+    w, h, bpp, comp, palette_gray = _dib_header(
+        "BMP", payload, 14, len(payload))
     topdown = h < 0
     ah = abs(h)
-    palette_gray = None
-    if bpp == 8:
-        (clr_used,) = struct.unpack("<I", payload[46:50])
-        n_pal = clr_used or 256
-        pal_off = 14 + bi_size
-        quads = np.frombuffer(
-            payload[pal_off:pal_off + 4 * n_pal], dtype=np.uint8
-        ).reshape(-1, 4)
-        palette_gray = _gray_from_bgr(
-            quads[:, 0], quads[:, 1], quads[:, 2]
-        )
     data = payload[off:]
     if comp == BI_RGB:
         img = _decode_dib_frame(data, w, ah, bpp, palette_gray)

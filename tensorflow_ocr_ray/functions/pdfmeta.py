@@ -2,10 +2,13 @@
 sidecar of the layout parse (:mod:`core.pdftext` reads content streams;
 this reads the object tree's Info dict).
 
-Real-PDF hazards covered: literal strings with ESCAPED parens and
-backslashes (``(Doc 7 \\(v2\\))``), hex strings (``<41424344>``), and a
-decoy ``/Title`` inside a content stream that must never win over the
-trailer-referenced Info object.
+The object tree is :mod:`core.pdfimage`'s: ``PdfFile`` finds the
+trailer (through the xref, or the whole-file object scan when the xref
+is broken) and resolves its ``/Info`` reference, and its ``_Parser``
+decodes the strings — literal strings with ESCAPED parens and
+backslashes (``(Doc 7 \\(v2\\))``), octal escapes, and hex strings
+(``<41424344>``).  A decoy ``/Title`` inside a content stream is never
+read: only the object the trailer references is.
 
 Fixture synthesis is deterministic ``doc_id`` arithmetic (the repo's
 media_* convention) so a DuckDB oracle re-derives every field without
@@ -16,65 +19,33 @@ from __future__ import annotations
 
 import re
 
-_INFO_REF = re.compile(rb"/Info\s+(\d+)\s+0\s+R")
-_NAME_VAL = re.compile(
-    rb"/(Title|Author|CreationDate)\s*(\((?:[^()\\]|\\.)*\)|<[0-9A-Fa-f\s]*>)"
-)
-_ESC = {b"n": b"\n", b"r": b"\r", b"t": b"\t",
-        b"(": b"(", b")": b")", b"\\": b"\\"}
-
-
-def _pdf_string(tok: bytes) -> str:
-    """Decode one PDF string token — literal ``(...)`` with escapes or
-    hex ``<...>``."""
-    if tok.startswith(b"<"):
-        hx = re.sub(rb"\s", b"", tok[1:-1])
-        if len(hx) % 2:
-            hx += b"0"
-        return bytes.fromhex(hx.decode("ascii")).decode("latin-1")
-    body = tok[1:-1]
-    out = bytearray()
-    i = 0
-    while i < len(body):
-        c = body[i:i + 1]
-        if c == b"\\" and i + 1 < len(body):
-            nxt = body[i + 1:i + 2]
-            out += _ESC.get(nxt, nxt)
-            i += 2
-        else:
-            out += c
-            i += 1
-    return out.decode("latin-1")
+from tensorflow_ocr_ray.core.pdfimage import PdfFile
 
 
 def extract_pdf_info(payload: bytes) -> dict:
     """``{"title", "author", "created_year"}`` from the trailer's
     /Info object; empty-string / -1 when absent.  Only the trailer
     REFERENCE decides which object is the Info dict — a /Title
-    appearing anywhere else (content stream decoy) is not metadata."""
+    appearing anywhere else (content stream decoy) is not metadata.
+    A payload without a trailer or an Info entry, or whose Info object
+    is missing or does not parse, gives that empty record."""
     out = {"title": "", "author": "", "created_year": -1}
-    tpos = payload.rfind(b"trailer")
-    if tpos < 0:
+    try:
+        pdf = PdfFile(payload)
+        info = pdf.resolve(pdf.trailer.get("Info"))
+        if not isinstance(info, dict):
+            return out
+        fields = {key: pdf.resolve(info.get(key))
+                  for key in ("Title", "Author", "CreationDate")}
+    except ValueError:  # not a PDF, or Info missing or unparseable
         return out
-    m = _INFO_REF.search(payload, tpos)
-    if not m:
-        return out
-    num = int(m.group(1))
-    opos = re.search(rb"(?<![0-9])%d\s+0\s+obj" % num, payload)
-    if not opos:
-        return out
-    end = payload.find(b"endobj", opos.end())
-    body = payload[opos.end():end if end >= 0 else len(payload)]
-    for name, tok in _NAME_VAL.findall(body):
-        val = _pdf_string(tok)
-        if name == b"Title":
-            out["title"] = val
-        elif name == b"Author":
-            out["author"] = val
-        elif name == b"CreationDate":
-            ym = re.match(r"D:(\d{4})", val)
-            if ym:
-                out["created_year"] = int(ym.group(1))
+    text = {key: val.decode("latin-1") for key, val in fields.items()
+            if isinstance(val, bytes)}
+    out["title"] = text.get("Title", "")
+    out["author"] = text.get("Author", "")
+    ym = re.match(r"D:(\d{4})", text.get("CreationDate", ""))
+    if ym:
+        out["created_year"] = int(ym.group(1))
     return out
 
 

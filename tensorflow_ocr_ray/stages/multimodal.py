@@ -48,7 +48,9 @@ from tensorflow_ocr_ray.core.raster import (
     encode_bitonal,
     glyph_windows,
 )
-from tensorflow_ocr_ray.core.video_codecs import _riff_chunks
+from tensorflow_ocr_ray.core.jpeg import _read_frame
+from tensorflow_ocr_ray.core.png import _read_ihdr
+from tensorflow_ocr_ray.core.video_codecs import _dib_header, _riff_chunks
 
 FAKE_AUDIO_MAGIC = b"FAKEAUD"
 FAKE_VIDEO_MAGIC = b"FAKEVID"
@@ -278,29 +280,24 @@ def probe_media_header(payload: bytes) -> tuple[str, int, int, int]:
     no pixel/sample decode, no decompression.  The cheap metadata pass
     a 100-TB pipeline runs first: route/batch/skip decisions (small vs
     large frames, stills vs animations) cost header bytes, not decode
-    CPU.  Reads: PNG IHDR; JPEG markers to SOF0/SOF2; GIF logical
-    screen + a count of image descriptors, skipping sub-blocks with the
-    GIF decoder's reader (LZW untouched); AVI through the decoder's RIFF
+    CPU.  Every container is read through its decoder's own walk and
+    header reader, so a truncated, cyclic or malformed header raises
+    the decoder's ``ValueError``: PNG IHDR through ``png._read_ihdr``
+    (the decoder's chunk walk and IHDR check); JPEG SOF0/1/2 through
+    ``jpeg._read_frame`` (``decode_jpeg_gray``'s marker walk); GIF
+    logical screen + a count of image descriptors, skipping sub-blocks
+    with the GIF decoder's reader (LZW untouched); AVI through the RIFF
     walk (``video_codecs._riff_chunks``): the first strf
-    BITMAPINFOHEADER + ##db/##dc chunk count; TIFF through the
-    decoder's IFD walk (``raster._parse_ifds``): the first directory's
-    size tags + directory count.  The walks are shared, so a truncated
-    or cyclic container raises the decoder's ``ValueError``."""
+    BITMAPINFOHEADER, read by ``decode_avi``'s ``_dib_header``, +
+    ##db/##dc chunk count; TIFF through the IFD walk
+    (``raster._parse_ifds``): the first directory's size tags +
+    directory count."""
     if payload[:8] == b"\x89PNG\r\n\x1a\n":
-        w, h = struct.unpack(">II", payload[16:24])
+        w, h, *_ = _read_ihdr(payload)
         return "png", int(w), int(h), 1
     if payload[:2] == b"\xff\xd8":
-        i = 2
-        while i + 4 <= len(payload):
-            if payload[i] != 0xFF:
-                raise ValueError("JPEG marker desync")
-            marker = payload[i + 1]
-            if marker in (0xC0, 0xC1, 0xC2):
-                h, w = struct.unpack(">HH", payload[i + 5:i + 9])
-                return "jpeg", int(w), int(h), 1
-            (seglen,) = struct.unpack(">H", payload[i + 2:i + 4])
-            i += 2 + seglen
-        raise ValueError("JPEG without SOF")
+        frame = _read_frame(payload)
+        return "jpeg", int(frame["w"]), int(frame["h"]), 1
     if payload[:6] in (b"GIF87a", b"GIF89a"):
         if len(payload) < 13:
             raise ValueError("GIF truncated in header")
@@ -325,9 +322,9 @@ def probe_media_header(payload: bytes) -> tuple[str, int, int, int]:
     if payload[:4] == b"RIFF" and payload[8:12] == b"AVI ":
         size = None
         frames = 0
-        for cid, body, _ in _riff_chunks(payload, 12, len(payload)):
+        for cid, body, n in _riff_chunks(payload, 12, len(payload)):
             if cid == b"strf" and size is None:
-                size = struct.unpack_from("<ii", payload, body + 4)
+                size = _dib_header("AVI strf", payload, body, body + n)[:2]
             elif cid[2:4] in (b"db", b"dc"):
                 frames += 1
         if size is None:

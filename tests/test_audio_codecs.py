@@ -178,3 +178,13 @@ def test_audio_feature_stage_on_compressed_wavs(ray_session):
     # companded decodes track the PCM original closely
     assert abs(rms[0] - rms[2]) < 0.01
     assert abs(rms[1] - rms[2]) < 0.01
+
+
+def test_wav_cut_short_raises_valueerror():
+    """A WAV whose data chunk runs past the payload raises ``ValueError``
+    from the shared RIFF walk (it decoded 350 of its 400 samples)."""
+    data = np.arange(400, dtype="<i2").tobytes()
+    payload = _wav(1, 1, 16, 2, data)
+    assert len(decode_wav(payload)) == 400
+    with pytest.raises(ValueError, match="runs past"):
+        decode_wav(payload[:-100])

@@ -3,6 +3,8 @@ space than the deterministic sweep in test_codecs.py."""
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -81,3 +83,79 @@ def test_g3_2d_roundtrip_random_bitmaps(h, w, density, seed):
     tags = [1] + [int(rng.integers(0, 2)) for _ in range(h - 1)]
     data = encode_g3_2d(img, tags)
     assert (decode_g3(data, w, h, two_d=True) == img).all()
+
+
+@functools.lru_cache(maxsize=None)
+def _container_payloads() -> dict:
+    """(readers, payloads) per container: the ``__ray_entry__`` BMP,
+    AVI, JPEG and PNG payloads of doc_ids 0-11 and the WAVs of
+    ``tests/test_audio_codecs.py``."""
+    import pandas as pd
+    from test_audio_codecs import _wav
+
+    import __ray_entry__ as e
+    from tensorflow_ocr_ray.core.audio_codecs import decode_wav
+    from tensorflow_ocr_ray.core.video_codecs import decode_avi, decode_bmp
+    from tensorflow_ocr_ray.stages.multimodal import probe_media_header
+
+    df = pd.DataFrame({"doc_id": list(range(12))})
+    tone = (np.sin(np.arange(400) / 7.0) * 20000).astype("<i2")
+    return {
+        "bmp": ((decode_bmp, probe_media_header),
+                e._bmp_payloads(df).column("image").to_pylist()),
+        "avi": ((decode_avi, probe_media_header),
+                e._avi_payloads(df).column("video").to_pylist()),
+        "jpeg": ((probe_media_header,),
+                 e._jpeg_payloads(df).column("image").to_pylist()),
+        "png": ((probe_media_header,),
+                e._png_payloads(df).column("image").to_pylist()),
+        "wav": ((decode_wav,),
+                [_wav(1, 1, 16, 2, tone.tobytes()),
+                 _wav(1, 2, 16, 4, tone.tobytes()),
+                 _wav(7, 1, 8, 1, tone.tobytes()[:399]),
+                 _wav(0x11, 1, 4, 12, bytes(range(48)), fact=70)]),
+    }
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(fmt=st.sampled_from(["bmp", "avi", "jpeg", "png", "wav"]),
+       doc=st.integers(0, 11), cut=st.floats(0.0, 1.0),
+       bit=st.floats(0.0, 1.0), flip=st.booleans())
+def test_cut_or_flipped_containers_raise_only_typed_errors(
+        fmt, doc, cut, bit, flip):
+    """A container payload cut short or with one bit flipped either
+    decodes or raises ``ValueError``/``NotImplementedError`` from
+    ``decode_bmp``, ``decode_avi``, ``decode_wav`` and the header probe
+    — never ``IndexError`` or ``struct.error`` — within 2 s and a 64 MiB
+    traced allocation peak."""
+    import signal
+    import tracemalloc
+
+    readers, payloads = _container_payloads()[fmt]
+    payload = payloads[doc % len(payloads)]
+    if flip:
+        at = min(int(bit * 8 * len(payload)), 8 * len(payload) - 1)
+        mutated = bytearray(payload)
+        mutated[at // 8] ^= 0x80 >> (at % 8)
+        payload = bytes(mutated)
+    else:
+        payload = payload[:int(cut * len(payload))]
+
+    def _timeout(signum, frame):
+        raise TimeoutError("decode ran past 2 s")
+
+    for read in readers:
+        previous = signal.signal(signal.SIGALRM, _timeout)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        tracemalloc.start()
+        try:
+            try:
+                read(payload)
+            except (ValueError, NotImplementedError):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert peak < 64 << 20, (read.__name__, peak)

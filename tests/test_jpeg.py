@@ -299,3 +299,23 @@ def test_marker_inside_entropy_data_raises_valueerror():
     at = sos + 2 + seg_len
     with pytest.raises(ValueError, match="marker inside entropy data"):
         decode_jpeg_gray(payload[:at] + b"\xff\xd9" + payload[at:])
+
+
+@pytest.mark.parametrize("doc", [0, 1], ids=["baseline", "progressive"])
+def test_frame_over_pixel_cap_refused_before_allocation(doc):
+    """A fixture JPEG whose SOF claims 65535 x 65535 pixels (a 34 GB
+    float64 plane) raises ``ValueError`` as soon as the header is read,
+    with a traced allocation peak under 16 MiB."""
+    import tracemalloc
+
+    payload = bytearray(_fixture_jpegs()[doc])
+    sof = payload.index(b"\xff\xc2" if doc % 2 else b"\xff\xc0")
+    struct.pack_into(">HH", payload, sof + 5, 65535, 65535)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="pixel cap"):
+            decode_jpeg_gray(bytes(payload))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20

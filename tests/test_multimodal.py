@@ -363,3 +363,20 @@ def test_probe_agrees_with_decoders():
             checked.append(fmt)
     assert len(checked) == 5 * 12 + 1
     assert probe_media_header(_big_endian_short_tiff()) == ("tiff", 8, 3, 1)
+
+
+@pytest.mark.parametrize("kind,cut", [
+    ("png", 20), ("png", 28), ("jpeg", 7), ("jpeg", 10)],
+    ids=["png_cut_20", "png_cut_28", "jpeg_sof_cut_7", "jpeg_sof_cut_10"])
+def test_probe_rejects_short_png_and_jpeg_headers(kind, cut):
+    """The probe reads PNG IHDR and JPEG SOF through the decoders' walks:
+    a header cut short raises ``ValueError`` (it raised ``struct.error``
+    or read the size out of a partial header).  ``cut`` counts bytes
+    kept from the start of a PNG, or from the SOF marker of a JPEG."""
+    import __ray_entry__ as e
+
+    build = e._png_payloads if kind == "png" else e._jpeg_payloads
+    payload = build(_doc_frame(1)).column(1)[0].as_py()
+    if kind == "jpeg":
+        cut += payload.index(b"\xff\xc0")
+    _raises_within(probe_media_header, payload[:cut])

@@ -620,3 +620,43 @@ def test_fuzz_mutated_pdf_never_hangs(seed, nmut):
             assert p.dtype == np.uint8
     except Exception:
         pass  # clean rejection is fine; hangs/crashes are not
+
+
+def _g4_pdf_with(old: bytes, new: bytes) -> bytes:
+    """The doc-3 CCITT-G4 PDF of the ``media_pdf_ink`` query with one
+    edit."""
+    import pandas as pd
+
+    import __ray_entry__
+
+    payload = __ray_entry__._pdf_payloads(
+        pd.DataFrame({"doc_id": [3]})).column("image")[0].as_py()
+    assert old in payload
+    return payload.replace(old, new)
+
+
+@pytest.mark.parametrize("edit,pages,text", [
+    ((b"/Im0 4 0 R", b"/Im0 9 0 R"), 1, ""),
+    ((b"/Width 40", b"/Width 9 0 R"), None, ""),
+    ((b"/Resources <<", b"/Contents 9 0 R /Resources <<"), None, None),
+    ((b"/Width 40", b"/Wxdth 40"), None, ""),
+], ids=["xobject_ref", "width_ref", "contents_ref", "width_key"])
+def test_missing_object_or_key_raises_valueerror(edit, pages, text):
+    """A reference to an object that is neither in the xref nor found by
+    the object scan, or an image without /Width, raises ``ValueError``
+    (it was ``KeyError``) from the page decoder and the layout parse
+    wherever it is read (``None`` below); a page image whose reference
+    is dangling is still found by the scan over every image XObject."""
+    from tensorflow_ocr_ray.core.pdftext import extract_text_layout
+    from tensorflow_ocr_ray.core.raster import decode_payload_pages
+
+    payload = _g4_pdf_with(*edit)
+    for read, want in ((decode_payload_pages, pages),
+                       (extract_text_layout, text)):
+        if want is None:
+            with pytest.raises(ValueError):
+                read(payload)
+        elif read is decode_payload_pages:
+            assert len(read(payload)) == want
+        else:
+            assert read(payload) == want

@@ -276,3 +276,23 @@ def test_avi_short_strf_raises_valueerror(trailer):
     read as the header's)."""
     with pytest.raises(ValueError, match="strf"):
         decode_avi(_avi_short_strf(trailer))
+
+
+def test_bmp_index_past_palette_reads_zero():
+    """The 2-entry palette of the fixture's 8-bit BMP is padded to 256
+    entries like AVI's: a pixel index past it reads 0 (it raised
+    ``IndexError``), and the indices inside it read as before."""
+    import pandas as pd
+
+    import __ray_entry__ as e
+    from tensorflow_ocr_ray.core.video_codecs import decode_bmp
+
+    payload = bytearray(e._bmp_payloads(
+        pd.DataFrame({"doc_id": [0]})).column("image")[0].as_py())
+    (off,) = struct.unpack_from("<I", payload, 10)
+    want = decode_bmp(bytes(payload))
+    payload[off] = 7  # bottom row, first pixel
+    got = decode_bmp(bytes(payload))
+    assert got[-1, 0] == 0
+    want[-1, 0] = 0
+    assert (got == want).all()
